@@ -24,14 +24,12 @@ from .errors import (
     MoveError,
 )
 from .monk import (
-    AuditReport,
     MonkTrace,
     bpd_cross_bump_swap,
     bpd_m_move,
     bpd_min_droop,
     bpd_x_insert,
     footprints_audit,
-    lemma_case_audit,
     pd_m_move,
     pd_x_insert,
 )
@@ -58,7 +56,9 @@ from .poly import (
 )
 from .render import render, parse_bpd, parse_pipe_dream
 from .verify import (
+    AuditReport,
     bruhat_covers,
+    lemma_case_audit,
     run_checks,
     verify_monk_commutation,
     verify_monk_commutation_m,

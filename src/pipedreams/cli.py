@@ -14,14 +14,13 @@ import os
 import sys
 
 from .bijection import phi, phi_inverse
-from .bumpless import BumplessPipeDream, bpd_insert, bpd_pop, enumerate_bpds
+from .bumpless import BumplessPipeDream, bpd_insert
 from .errors import InvalidDiagramError, InvalidSequenceError, MoveError
-from .monk import bpd_m_move, bpd_x_insert, pd_m_move, pd_x_insert
 from .perm import Permutation
-from .pipedream import PipeDream, enumerate_pipe_dreams
+from .pipedream import PipeDream
 from .poly import schubert_polynomial
 from .render import render
-from .verify import CHECK_GROUPS, run_checks
+from .verify import CHECK_GROUPS, MODELS, model_of, run_checks
 
 _DEFAULT_MAX_GROUP = 4
 
@@ -43,13 +42,15 @@ def _read_json(path: str) -> dict:
     return json.loads(text)
 
 
-def _parse_diagram(data: dict):
+def _parse_diagram(data):
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"a diagram must be a JSON object, not {type(data).__name__}"
+        )
     model = data.get("model")
-    if model == "pd":
-        return PipeDream.from_json(data)
-    if model == "bpd":
-        return BumplessPipeDream.from_json(data)
-    raise ValueError(f"unknown diagram model {model!r}")
+    if not isinstance(model, str) or model not in MODELS:
+        raise ValueError(f"unknown diagram model {model!r}")
+    return MODELS[model].cls.from_json(data)
 
 
 def _emit(payload) -> None:
@@ -69,7 +70,7 @@ def _cmd_schubert(args) -> int:
         _emit(
             {
                 "perm": str(pi),
-                "method": args.method,
+                "method": "dd",
                 "polynomial": poly.to_json(),
                 "display": str(poly),
             }
@@ -79,12 +80,7 @@ def _cmd_schubert(args) -> int:
 
 def _cmd_enum(args) -> int:
     pi = Permutation.parse(args.perm)
-    if args.model == "pd":
-        diagrams = sorted(enumerate_pipe_dreams(pi), key=_diagram_sort_key)
-    else:
-        diagrams = sorted(
-            (d.trim() for d in enumerate_bpds(pi)), key=_diagram_sort_key
-        )
+    diagrams = sorted(MODELS[args.model].enumerate(pi), key=_diagram_sort_key)
     if args.pretty:
         print("\n\n".join(render(d, pretty=True) for d in diagrams))
     else:
@@ -131,21 +127,14 @@ def _cmd_phi(args) -> int:
 
 def _cmd_pop(args) -> int:
     diagram = _parse_diagram(_read_json(args.file))
-    if isinstance(diagram, PipeDream):
-        (a, r), rest = diagram.pop()
-        payload = {"a": a, "r": r, "result": rest.to_json()}
-    else:
-        res = bpd_pop(diagram)
-        payload = {
-            "a": res.a,
-            "r": res.r,
-            "result": res.result.to_json(),
-            "footprints": [list(p) for p in res.footprints],
-        }
+    res = model_of(diagram).pop(diagram)
     if args.pretty:
-        print(f"a={payload['a']} r={payload['r']}")
-        print(render(_parse_diagram(payload["result"]), pretty=True))
+        print(f"a={res.a} r={res.r}")
+        print(render(res.result, pretty=True))
     else:
+        payload = {"a": res.a, "r": res.r, "result": res.result.to_json()}
+        if res.footprints is not None:
+            payload["footprints"] = [list(p) for p in res.footprints]
         _emit(payload)
     return 0
 
@@ -164,20 +153,15 @@ def _cmd_insert(args) -> int:
 
 def _cmd_monk(args) -> int:
     diagram = _parse_diagram(_read_json(args.file))
+    model = model_of(diagram)
     if args.variant == "x":
         if args.alpha is None:
             raise ValueError("the x move needs --alpha")
-        if isinstance(diagram, PipeDream):
-            out, tr = pd_x_insert(diagram, args.alpha)
-        else:
-            out, tr = bpd_x_insert(diagram, args.alpha)
+        out, tr = model.x(diagram, args.alpha)
     else:
         if args.s is None or args.beta is None:
             raise ValueError("the m move needs --s and --beta")
-        if isinstance(diagram, PipeDream):
-            out, tr = pd_m_move(diagram, args.s, args.beta)
-        else:
-            out, tr = bpd_m_move(diagram, args.s, args.beta)
+        out, tr = model.m(diagram, args.s, args.beta)
     if args.pretty:
         print(render(out, pretty=True))
         print(f"l={tr.result_l}")
@@ -238,13 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schubert", help="compute a Schubert polynomial")
     p.add_argument("perm")
-    p.add_argument("--method", choices=["dd"], default="dd")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_schubert)
 
     p = sub.add_parser("enum", help="enumerate the diagrams of a permutation")
     p.add_argument("perm")
-    p.add_argument("--model", choices=["pd", "bpd"], required=True)
+    p.add_argument("--model", choices=list(MODELS), required=True)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=_cmd_enum)
 

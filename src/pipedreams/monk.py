@@ -10,12 +10,7 @@ partition the diagrams of all pi t_{a,l}.
 
 from __future__ import annotations
 
-from .bumpless import (
-    BumplessPipeDream,
-    _Editor,
-    _SEGMENTS,
-    bpd_pop,
-)
+from .bumpless import BumplessPipeDream, _Editor, _SEGMENTS
 from .errors import MoveError
 from .perm import Permutation
 from .pipedream import PipeDream, trace_pipes
@@ -432,178 +427,6 @@ def footprints_audit(trace: MonkTrace) -> bool:
     return len(trace.complete_footprints) == len(
         set(trace.complete_footprints)
     )
-
-
-# ---------------------------------------------------------------------------
-# Case audits for the interaction of insertion moves with pop
-
-
-class _PdOps:
-    name = "pd"
-
-    @staticmethod
-    def perm(d):
-        return d.perm()
-
-    @staticmethod
-    def pop(d):
-        (a, r), rest = d.pop()
-        return a, r, rest
-
-    @staticmethod
-    def x(d, alpha):
-        return pd_x_insert(d, alpha)[0]
-
-    @staticmethod
-    def m(d, s, beta):
-        return pd_m_move(d, s, beta)[0]
-
-
-class _BpdOps:
-    name = "bpd"
-
-    @staticmethod
-    def perm(d):
-        return d.validate()
-
-    @staticmethod
-    def pop(d):
-        res = bpd_pop(d)
-        return res.a, res.r, res.result
-
-    @staticmethod
-    def x(d, alpha):
-        return bpd_x_insert(d, alpha)[0]
-
-    @staticmethod
-    def m(d, s, beta):
-        return bpd_m_move(d, s, beta)[0]
-
-
-def _ops_for(diagram):
-    if isinstance(diagram, PipeDream):
-        return _PdOps
-    if isinstance(diagram, BumplessPipeDream):
-        return _BpdOps
-    raise TypeError(f"not a diagram: {diagram!r}")
-
-
-class AuditReport:
-    """Outcome of one case audit: a case label and named clause results."""
-
-    __slots__ = ("model", "case", "checks")
-
-    def __init__(self, model, case, checks):
-        self.model = model
-        self.case = case
-        self.checks = checks
-
-    def passed(self) -> bool:
-        return all(status != "fail" for _, status, _ in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if c[1] == "fail"]
-
-    def __repr__(self) -> str:
-        return f"AuditReport({self.model}, {self.case}, {self.checks!r})"
-
-
-def _check(name, ok, detail=""):
-    return (name, "pass" if ok else "fail", detail)
-
-
-def lemma_case_audit(diagram, move) -> AuditReport:
-    """Check how one insertion move commutes with one pop step.
-
-    move is ("x", alpha) or ("m", s, beta).  The four cases:
-
-    * m, generic: pop keeps (i, r) or shifts to (i+1, r) according to
-      whether i descends in the permutation of m applied to the popped
-      diagram, and the popped results match up to one more m move.
-    * m, special (the moved positions are exactly where the popped letter
-      acts): pop always shifts to (i+1, r).
-    * x with alpha >= r: same dichotomy as the generic m case.
-    * x with alpha < r: pop returns (alpha, alpha) and popping undoes the
-      insertion exactly.
-
-    Sub-moves whose cover precondition fails are reported as skipped.
-    """
-    ops = _ops_for(diagram)
-    if move[0] == "m":
-        _, s, beta = move
-        sigma = ops.perm(diagram)
-        pi = sigma.right_t(s, beta)
-        if not (s < beta and pi.length() == sigma.length() - 1):
-            raise ValueError("move is not a cover of its base")
-        i, r, nabla = ops.pop(diagram)
-        mD = ops.m(diagram, s, beta)
-        i2, r2, nabla_mD = ops.pop(mD)
-        inv = pi.inverse()
-        special = {s, beta} == {inv(i), inv(i + 1)}
-        checks = []
-        if special:
-            case = "m-special"
-            checks.append(
-                _check("pop", (i2, r2) == (i + 1, r), f"got {(i2, r2)}")
-            )
-            rho = ops.perm(nabla)
-            if i + 1 in rho.left_descents():
-                sp, bp = rho.inverse()(i + 2), rho.inverse()(i + 1)
-                expected = ops.m(nabla, sp, bp)
-            else:
-                expected = nabla
-            checks.append(_check("nabla", nabla_mD == expected))
-        else:
-            case = "m-generic"
-            try:
-                m_nabla = ops.m(nabla, s, beta)
-            except ValueError as exc:
-                return AuditReport(
-                    ops.name, case, [("m-on-popped", "skip", str(exc))]
-                )
-            rho = ops.perm(m_nabla)
-            want = (i + 1, r) if i in rho.left_descents() else (i, r)
-            checks.append(_check("pop", (i2, r2) == want, f"got {(i2, r2)}"))
-            if i in rho.left_descents() and i + 1 in rho.left_descents():
-                sp, bp = rho.inverse()(i + 2), rho.inverse()(i + 1)
-                expected = ops.m(m_nabla, sp, bp)
-            else:
-                expected = m_nabla
-            checks.append(_check("nabla", nabla_mD == expected))
-        return AuditReport(ops.name, case, checks)
-    if move[0] == "x":
-        _, alpha = move
-        pi = ops.perm(diagram)
-        if pi.is_identity():
-            raise ValueError("nothing to pop on an identity diagram")
-        i, r, nabla = ops.pop(diagram)
-        xD = ops.x(diagram, alpha)
-        i2, r2, nabla_xD = ops.pop(xD)
-        checks = []
-        if alpha < r:
-            case = "x-low"
-            checks.append(
-                _check("pop", (i2, r2) == (alpha, alpha), f"got {(i2, r2)}")
-            )
-            checks.append(_check("nabla", nabla_xD == diagram))
-        else:
-            case = "x-generic"
-            x_nabla = ops.x(nabla, alpha)
-            rho = ops.perm(x_nabla)
-            want = (i + 1, r) if i in rho.left_descents() else (i, r)
-            checks.append(_check("pop", (i2, r2) == want, f"got {(i2, r2)}"))
-            if i in rho.left_descents() and i + 1 in rho.left_descents():
-                sp, bp = rho.inverse()(i + 2), rho.inverse()(i + 1)
-                try:
-                    expected = ops.m(x_nabla, sp, bp)
-                except ValueError as exc:
-                    checks.append(("nabla", "skip", str(exc)))
-                    return AuditReport(ops.name, case, checks)
-            else:
-                expected = x_nabla
-            checks.append(_check("nabla", nabla_xD == expected))
-        return AuditReport(ops.name, case, checks)
-    raise ValueError(f"unknown move {move!r}")
 
 
 if __name__ == "__main__":  # pragma: no cover

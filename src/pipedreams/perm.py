@@ -184,6 +184,31 @@ def monk_covers(pi: Permutation, alpha: int) -> tuple[tuple[int, ...], tuple[int
     return left, right
 
 
+def multiply_word(word: Iterable[int]) -> tuple[Permutation, bool]:
+    """The product s_{a_1} s_{a_2} ... s_{a_l}, and whether the word is reduced.
+
+    Right multiplication by s_i swaps positions i and i+1 of the one-line
+    word; it raises the length by one exactly when w(i) < w(i+1) before
+    the swap, so each letter is checked in constant time.
+
+    >>> multiply_word([2, 1, 2])
+    (Permutation([3, 2, 1]), True)
+    >>> multiply_word([1, 1])[1]
+    False
+    """
+    w: list[int] = []
+    reduced = True
+    for i in word:
+        if i < 1:
+            raise ValueError(f"need 1 <= a < b, got {(i, i + 1)}")
+        if len(w) <= i:
+            w.extend(range(len(w) + 1, i + 2))
+        if w[i - 1] > w[i]:
+            reduced = False
+        w[i - 1], w[i] = w[i], w[i - 1]
+    return Permutation(w), reduced
+
+
 @lru_cache(maxsize=None)
 def reduced_words(pi: Permutation) -> frozenset[tuple[int, ...]]:
     """All reduced words of pi, peeling right descents recursively.
@@ -198,16 +223,6 @@ def reduced_words(pi: Permutation) -> frozenset[tuple[int, ...]]:
         for w in reduced_words(pi.right_s(i)):
             out.add(w + (i,))
     return frozenset(out)
-
-
-def iter_reduced_words(pi: Permutation) -> Iterator[tuple[int, ...]]:
-    """Lazily generate the reduced words of pi (no memo; good for big sets)."""
-    if pi.is_identity():
-        yield ()
-        return
-    for i in sorted(pi.right_descents()):
-        for w in iter_reduced_words(pi.right_s(i)):
-            yield w + (i,)
 
 
 def one_reduced_word(pi: Permutation) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import EmptyDiagramError, InvalidDiagramError, InvalidSequenceError
-from .perm import Permutation, reduced_words
+from .perm import Permutation, multiply_word, reduced_words
 from .poly import SparsePolynomial
 
 
@@ -41,12 +41,8 @@ class CompatibleSequence:
             raise InvalidSequenceError("a and r differ in length")
         if any(v < 1 for v in a) or any(v < 1 for v in r):
             raise InvalidSequenceError("entries must be positive")
-        cur = Permutation.identity()
-        for i in a:
-            nxt = cur.right_s(i)
-            if nxt.length() != cur.length() + 1:
-                raise InvalidSequenceError(f"word {a} is not reduced")
-            cur = nxt
+        if not multiply_word(a)[1]:
+            raise InvalidSequenceError(f"word {a} is not reduced")
         for k in range(len(a) - 1):
             if r[k] > r[k + 1]:
                 raise InvalidSequenceError("r is not weakly increasing")
@@ -60,10 +56,7 @@ class CompatibleSequence:
         return self
 
     def permutation(self) -> Permutation:
-        out = Permutation.identity()
-        for i in self.a:
-            out = out.right_s(i)
-        return out
+        return multiply_word(self.a)[0]
 
     def to_pipe_dream(self) -> "PipeDream":
         self.validate()
@@ -86,10 +79,6 @@ class CompatibleSequence:
 
     def to_json(self) -> dict:
         return {"a": list(self.a), "r": list(self.r)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CompatibleSequence":
-        return cls(data["a"], data["r"])
 
 
 class PipeDream:
@@ -120,27 +109,19 @@ class PipeDream:
         return tuple(r for r, _ in self.sorted_crosses())
 
     def product_perm(self) -> Permutation:
-        out = Permutation.identity()
-        for i in self.word():
-            out = out.right_s(i)
-        return out
+        return multiply_word(self.word())[0]
 
     def is_reduced(self) -> bool:
-        cur = Permutation.identity()
-        for i in self.word():
-            nxt = cur.right_s(i)
-            if nxt.length() != cur.length() + 1:
-                return False
-            cur = nxt
-        return True
+        return multiply_word(self.word())[1]
 
     def perm(self) -> Permutation:
         """The permutation of the diagram; raises if a pair crosses twice."""
-        if not self.is_reduced():
+        pi, reduced = multiply_word(self.word())
+        if not reduced:
             raise InvalidDiagramError(
                 f"pipe dream {sorted(self.crosses)} is not reduced"
             )
-        return self.product_perm()
+        return pi
 
     def weight(self) -> SparsePolynomial:
         exp: list[int] = []
@@ -200,20 +181,11 @@ class PipeDreamTrace:
     until they leave through the west border.
     """
 
-    __slots__ = ("n", "exit_rows", "cross_pipes", "pair_crossings")
+    __slots__ = ("cross_pipes", "pair_crossings")
 
-    def __init__(self, n, exit_rows, cross_pipes, pair_crossings):
-        self.n = n
-        self.exit_rows = exit_rows
+    def __init__(self, cross_pipes, pair_crossings):
         self.cross_pipes = cross_pipes
         self.pair_crossings = pair_crossings
-
-    def traced_perm(self) -> Permutation:
-        """The permutation sending exit row to entry column."""
-        word = [0] * self.n
-        for col, row in self.exit_rows.items():
-            word[row - 1] = col
-        return Permutation(word)
 
 
 def trace_pipes(crosses: Iterable[tuple[int, int]], n: int | None = None) -> PipeDreamTrace:
@@ -228,7 +200,6 @@ def trace_pipes(crosses: Iterable[tuple[int, int]], n: int | None = None) -> Pip
         n = needed
     if n < needed:
         raise ValueError(f"window {n} too small for crosses up to {needed}")
-    exit_rows: dict[int, int] = {}
     cross_pipes: dict[tuple[int, int], list[int]] = {}
     for start in range(1, n + 1):
         i, j = 1, start
@@ -248,7 +219,6 @@ def trace_pipes(crosses: Iterable[tuple[int, int]], n: int | None = None) -> Pip
                     heading = "S"
                     i += 1
             if j == 0:
-                exit_rows[start] = i
                 break
             assert i <= n, "pipe escaped through the south border"
         else:  # pragma: no cover
@@ -258,8 +228,6 @@ def trace_pipes(crosses: Iterable[tuple[int, int]], n: int | None = None) -> Pip
         assert len(pipes) == 2, f"cross {pos} not traversed by two pipes"
         pair_crossings.setdefault(frozenset(pipes), []).append(pos)
     return PipeDreamTrace(
-        n,
-        exit_rows,
         {pos: frozenset(p) for pos, p in cross_pipes.items()},
         {pair: tuple(sorted(ps)) for pair, ps in pair_crossings.items()},
     )

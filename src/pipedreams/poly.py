@@ -43,14 +43,6 @@ class SparsePolynomial:
         return cls()
 
     @classmethod
-    def one(cls) -> "SparsePolynomial":
-        return cls({(): 1})
-
-    @classmethod
-    def constant(cls, c: int) -> "SparsePolynomial":
-        return cls({(): c})
-
-    @classmethod
     def variable(cls, i: int) -> "SparsePolynomial":
         if i < 1:
             raise ValueError("variables are numbered from 1")
@@ -59,9 +51,6 @@ class SparsePolynomial:
     @classmethod
     def monomial(cls, exponents: Iterable[int], coef: int = 1) -> "SparsePolynomial":
         return cls({tuple(exponents): coef})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SparsePolynomial) and self.terms == other.terms
@@ -92,17 +81,8 @@ class SparsePolynomial:
                 out[e] = out.get(e, 0) + c1 * c2
         return SparsePolynomial(out)
 
-    def scale(self, c: int) -> "SparsePolynomial":
-        return SparsePolynomial({e: c * v for e, v in self.terms.items()})
-
     def coefficient(self, exponents: Iterable[int]) -> int:
         return self.terms.get(_trim(tuple(exponents)), 0)
-
-    def num_vars(self) -> int:
-        return max((len(e) for e in self.terms), default=0)
-
-    def total_degrees(self) -> frozenset[int]:
-        return frozenset(sum(e) for e in self.terms)
 
     def swap_vars(self, i: int) -> "SparsePolynomial":
         """Exchange the variables x_i and x_{i+1} in every term."""
@@ -114,15 +94,6 @@ class SparsePolynomial:
             e[i - 1], e[i] = e[i], e[i - 1]
             key = _trim(tuple(e))
             out[key] = out.get(key, 0) + coef
-        return SparsePolynomial(out)
-
-    def substitute_zero(self, i: int) -> "SparsePolynomial":
-        """Set x_i = 0, dropping every term divisible by x_i."""
-        out: dict[tuple[int, ...], int] = {}
-        for exp, coef in self.terms.items():
-            if len(exp) >= i and exp[i - 1] > 0:
-                continue
-            out[exp] = out.get(exp, 0) + coef
         return SparsePolynomial(out)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:

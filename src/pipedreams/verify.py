@@ -1,6 +1,6 @@
 """Exhaustive consistency checks over a full symmetric group.
 
-Each function returns (ok, detail); run_checks bundles them into the named
+Each check returns (ok, detail); run_checks bundles them into the named
 check groups used by the command line tool.  Everything here is exact and
 deterministic except the ring axiom spot checks, which draw random small
 polynomials from a seeded generator.
@@ -10,20 +10,78 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import Callable, NamedTuple
 
 from .bijection import phi, phi_inverse
-from .bumpless import bpd_insert, bpd_pop, enumerate_bpds
+from .bumpless import (
+    BumplessPipeDream,
+    PopResult,
+    bpd_insert,
+    bpd_pop,
+    enumerate_bpds,
+)
+from .errors import InvalidSequenceError
 from .monk import (
     bpd_m_move,
     bpd_x_insert,
     footprints_audit,
-    lemma_case_audit,
     pd_m_move,
     pd_x_insert,
 )
 from .perm import Permutation, monk_covers, symmetric_group
-from .pipedream import enumerate_pipe_dreams
+from .pipedream import PipeDream, enumerate_pipe_dreams
 from .poly import SparsePolynomial, schubert_polynomial
+
+
+class Model(NamedTuple):
+    """One diagram model and the operations the harness applies to it.
+
+    cls supplies from_json, to_json, perm and weight; enumerate(pi) gives
+    every diagram of pi; pop(d) returns a PopResult; x(d, alpha) and
+    m(d, s, beta) return the moved diagram with its MonkTrace.
+    """
+
+    name: str
+    cls: type
+    enumerate: Callable
+    pop: Callable
+    x: Callable
+    m: Callable
+
+
+def _pd_pop(d: PipeDream) -> PopResult:
+    (a, r), rest = d.pop()
+    return PopResult(a, r, rest, None)
+
+
+# The entries look the library functions up by name on every call, so a
+# profiler that rebinds those module attributes also sees these calls.
+MODELS = {
+    "pd": Model(
+        "pd",
+        PipeDream,
+        lambda pi: enumerate_pipe_dreams(pi),
+        _pd_pop,
+        lambda d, alpha: pd_x_insert(d, alpha),
+        lambda d, s, beta: pd_m_move(d, s, beta),
+    ),
+    "bpd": Model(
+        "bpd",
+        BumplessPipeDream,
+        lambda pi: enumerate_bpds(pi),
+        lambda d: bpd_pop(d),
+        lambda d, alpha: bpd_x_insert(d, alpha),
+        lambda d, s, beta: bpd_m_move(d, s, beta),
+    ),
+}
+
+
+def model_of(diagram) -> Model:
+    """The MODELS entry whose class the diagram is an instance of."""
+    for model in MODELS.values():
+        if isinstance(diagram, model.cls):
+            return model
+    raise TypeError(f"not a diagram: {diagram!r}")
 
 
 def verify_monk_poly(pi: Permutation, alpha: int) -> bool:
@@ -73,49 +131,152 @@ def bruhat_covers(pi: Permutation, bound: int | None = None) -> list[tuple[int, 
 
 def verify_partition(pi: Permutation, alpha: int, model: str) -> bool:
     """The move images partition the diagrams of the upper covers exactly."""
-    if model == "pd":
-        enum, x_move, m_move = (
-            enumerate_pipe_dreams,
-            lambda d: pd_x_insert(d, alpha)[0],
-            lambda d, s: pd_m_move(d, s, alpha)[0],
-        )
-    elif model == "bpd":
-        enum, x_move, m_move = (
-            enumerate_bpds,
-            lambda d: bpd_x_insert(d, alpha)[0],
-            lambda d, s: bpd_m_move(d, s, alpha)[0],
-        )
-    else:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
+    ops = MODELS[model]
     left, right = monk_covers(pi, alpha)
     produced: Counter = Counter()
-    for d in enum(pi):
-        produced[x_move(d)] += 1
+    for d in ops.enumerate(pi):
+        produced[ops.x(d, alpha)[0]] += 1
     for s in left:
-        for d in enum(pi.right_t(s, alpha)):
-            produced[m_move(d, s)] += 1
+        for d in ops.enumerate(pi.right_t(s, alpha)):
+            produced[ops.m(d, s, alpha)[0]] += 1
     expected: Counter = Counter()
     for l in right:
-        for d in enum(pi.right_t(alpha, l)):
+        for d in ops.enumerate(pi.right_t(alpha, l)):
             expected[d] += 1
     return produced == expected
 
 
-def _triple_agreement(n: int) -> tuple[bool, str]:
+class AuditReport:
+    """Outcome of one case audit: a case label and named clause results."""
+
+    __slots__ = ("model", "case", "checks")
+
+    def __init__(self, model, case, checks):
+        self.model = model
+        self.case = case
+        self.checks = checks
+
+    def passed(self) -> bool:
+        return all(status != "fail" for _, status, _ in self.checks)
+
+    def failures(self) -> list:
+        return [c for c in self.checks if c[1] == "fail"]
+
+    def __repr__(self) -> str:
+        return f"AuditReport({self.model}, {self.case}, {self.checks!r})"
+
+
+def _clause(name, ok, detail=""):
+    return (name, "pass" if ok else "fail", detail)
+
+
+def lemma_case_audit(diagram, move) -> AuditReport:
+    """Check how one insertion move commutes with one pop step.
+
+    move is ("x", alpha) or ("m", s, beta).  The four cases:
+
+    * m, generic: pop keeps (i, r) or shifts to (i+1, r) according to
+      whether i descends in the permutation of m applied to the popped
+      diagram, and the popped results match up to one more m move.
+    * m, special (the moved positions are exactly where the popped letter
+      acts): pop always shifts to (i+1, r).
+    * x with alpha >= r: same dichotomy as the generic m case.
+    * x with alpha < r: pop returns (alpha, alpha) and popping undoes the
+      insertion exactly.
+
+    Sub-moves whose cover precondition fails are reported as skipped.
+    """
+    ops = model_of(diagram)
+    if move[0] == "m":
+        _, s, beta = move
+        sigma = diagram.perm()
+        pi = sigma.right_t(s, beta)
+        if not (s < beta and pi.length() == sigma.length() - 1):
+            raise ValueError("move is not a cover of its base")
+        moved = ops.m(diagram, s, beta)[0]
+    elif move[0] == "x":
+        _, alpha = move
+        if diagram.perm().is_identity():
+            raise ValueError("nothing to pop on an identity diagram")
+        moved = ops.x(diagram, alpha)[0]
+    else:
+        raise ValueError(f"unknown move {move!r}")
+    first, second = ops.pop(diagram), ops.pop(moved)
+    i, r, nabla = first.a, first.r, first.result
+    i2, r2, nabla_moved = second.a, second.r, second.result
+    checks = []
+    if move[0] == "m":
+        inv = pi.inverse()
+        special = {s, beta} == {inv(i), inv(i + 1)}
+        if special:
+            case = "m-special"
+            checks.append(
+                _clause("pop", (i2, r2) == (i + 1, r), f"got {(i2, r2)}")
+            )
+            rho = nabla.perm()
+            if i + 1 in rho.left_descents():
+                sp, bp = rho.inverse()(i + 2), rho.inverse()(i + 1)
+                expected = ops.m(nabla, sp, bp)[0]
+            else:
+                expected = nabla
+            checks.append(_clause("nabla", nabla_moved == expected))
+        else:
+            case = "m-generic"
+            try:
+                m_nabla = ops.m(nabla, s, beta)[0]
+            except ValueError as exc:
+                return AuditReport(
+                    ops.name, case, [("m-on-popped", "skip", str(exc))]
+                )
+            rho = m_nabla.perm()
+            want = (i + 1, r) if i in rho.left_descents() else (i, r)
+            checks.append(_clause("pop", (i2, r2) == want, f"got {(i2, r2)}"))
+            if i in rho.left_descents() and i + 1 in rho.left_descents():
+                sp, bp = rho.inverse()(i + 2), rho.inverse()(i + 1)
+                expected = ops.m(m_nabla, sp, bp)[0]
+            else:
+                expected = m_nabla
+            checks.append(_clause("nabla", nabla_moved == expected))
+    elif alpha < r:
+        case = "x-low"
+        checks.append(
+            _clause("pop", (i2, r2) == (alpha, alpha), f"got {(i2, r2)}")
+        )
+        checks.append(_clause("nabla", nabla_moved == diagram))
+    else:
+        case = "x-generic"
+        x_nabla = ops.x(nabla, alpha)[0]
+        rho = x_nabla.perm()
+        want = (i + 1, r) if i in rho.left_descents() else (i, r)
+        checks.append(_clause("pop", (i2, r2) == want, f"got {(i2, r2)}"))
+        if i in rho.left_descents() and i + 1 in rho.left_descents():
+            sp, bp = rho.inverse()(i + 2), rho.inverse()(i + 1)
+            try:
+                expected = ops.m(x_nabla, sp, bp)[0]
+            except ValueError as exc:
+                checks.append(("nabla", "skip", str(exc)))
+                return AuditReport(ops.name, case, checks)
+        else:
+            expected = x_nabla
+        checks.append(_clause("nabla", nabla_moved == expected))
+    return AuditReport(ops.name, case, checks)
+
+
+def _triple_agreement(n: int, seed) -> tuple[bool, str]:
     for pi in symmetric_group(n):
         s = schubert_polynomial(pi)
-        pd_sum = SparsePolynomial.zero()
-        for d in enumerate_pipe_dreams(pi):
-            pd_sum = pd_sum + d.weight()
-        bpd_sum = SparsePolynomial.zero()
-        for d in enumerate_bpds(pi):
-            bpd_sum = bpd_sum + d.weight()
-        if not (s == pd_sum == bpd_sum):
-            return False, f"disagreement at {pi}"
+        for ops in MODELS.values():
+            total = SparsePolynomial.zero()
+            for d in ops.enumerate(pi):
+                total = total + d.weight()
+            if total != s:
+                return False, f"disagreement at {pi}"
     return True, f"all {len(list(symmetric_group(n)))} permutations agree"
 
 
-def _monk_poly(n: int) -> tuple[bool, str]:
+def _monk_poly(n: int, seed) -> tuple[bool, str]:
     count = 0
     for pi in symmetric_group(n):
         for alpha in range(1, n + 2):
@@ -125,14 +286,14 @@ def _monk_poly(n: int) -> tuple[bool, str]:
     return True, f"{count} instances hold"
 
 
-def _stability(n: int) -> tuple[bool, str]:
+def _stability(n: int, seed) -> tuple[bool, str]:
     for pi in symmetric_group(n):
         if schubert_polynomial(pi, n + 2) != schubert_polynomial(pi):
             return False, f"ambient change alters the polynomial at {pi}"
     return True, "polynomials independent of the ambient size"
 
 
-def _poly_ring(seed) -> tuple[bool, str]:
+def _poly_ring(n: int, seed) -> tuple[bool, str]:
     rng = random.Random(seed if seed is not None else 0)
 
     def rand_poly():
@@ -155,7 +316,7 @@ def _poly_ring(seed) -> tuple[bool, str]:
     return True, "ring axioms hold on random samples"
 
 
-def _bijection(n: int) -> tuple[bool, str]:
+def _bijection(n: int, seed) -> tuple[bool, str]:
     pairs = 0
     for pi in symmetric_group(n):
         bpds = enumerate_bpds(pi)
@@ -177,9 +338,7 @@ def _bijection(n: int) -> tuple[bool, str]:
     return True, f"bijective on {pairs} diagrams"
 
 
-def _compatible(n: int) -> tuple[bool, str]:
-    from .errors import InvalidSequenceError
-
+def _compatible(n: int, seed) -> tuple[bool, str]:
     count = 0
     for pi in symmetric_group(n):
         for b in enumerate_bpds(pi):
@@ -194,7 +353,7 @@ def _compatible(n: int) -> tuple[bool, str]:
     return True, f"{count} sequences valid"
 
 
-def _roundtrip(n: int) -> tuple[bool, str]:
+def _roundtrip(n: int, seed) -> tuple[bool, str]:
     count = 0
     for pi in symmetric_group(n):
         if pi.is_identity():
@@ -208,7 +367,7 @@ def _roundtrip(n: int) -> tuple[bool, str]:
     return True, f"{count} pop/insert round trips"
 
 
-def _commutation(n: int) -> tuple[bool, str]:
+def _commutation(n: int, seed) -> tuple[bool, str]:
     runs = 0
     for pi in symmetric_group(n):
         for alpha in range(1, n + 1):
@@ -222,10 +381,10 @@ def _commutation(n: int) -> tuple[bool, str]:
     return True, f"{runs} move families commute with phi"
 
 
-def _partition(n: int) -> tuple[bool, str]:
+def _partition(n: int, seed) -> tuple[bool, str]:
     for pi in symmetric_group(n):
         for alpha in range(1, n + 1):
-            for model in ("pd", "bpd"):
+            for model in MODELS:
                 if not verify_partition(pi, alpha, model):
                     return (
                         False,
@@ -234,33 +393,21 @@ def _partition(n: int) -> tuple[bool, str]:
     return True, "images partition the upper cover diagrams"
 
 
-def _lemmas(n: int) -> tuple[bool, str]:
+def _lemmas(n: int, seed) -> tuple[bool, str]:
     audited = 0
     skipped = 0
     for pi in symmetric_group(n):
-        for alpha in range(1, n + 1):
-            if pi.is_identity():
-                continue
-            for enum, _ in (
-                (enumerate_pipe_dreams, "pd"),
-                (enumerate_bpds, "bpd"),
-            ):
-                for d in enum(pi):
-                    report = lemma_case_audit(d, ("x", alpha))
-                    if not report.passed():
-                        return False, f"{report!r} at {pi}"
-                    audited += 1
-                    skipped += sum(
-                        1 for c in report.checks if c[1] == "skip"
-                    )
-        for s, beta in bruhat_covers(pi, n + 1):
-            sigma = pi.right_t(s, beta)
-            for enum, _ in (
-                (enumerate_pipe_dreams, "pd"),
-                (enumerate_bpds, "bpd"),
-            ):
-                for d in enum(sigma):
-                    report = lemma_case_audit(d, ("m", s, beta))
+        moves = [] if pi.is_identity() else [
+            (pi, ("x", alpha)) for alpha in range(1, n + 1)
+        ]
+        moves += [
+            (pi.right_t(s, beta), ("m", s, beta))
+            for s, beta in bruhat_covers(pi, n + 1)
+        ]
+        for base, move in moves:
+            for ops in MODELS.values():
+                for d in ops.enumerate(base):
+                    report = lemma_case_audit(d, move)
                     if not report.passed():
                         return False, f"{report!r} at {pi}"
                     audited += 1
@@ -270,7 +417,7 @@ def _lemmas(n: int) -> tuple[bool, str]:
     return True, f"{audited} audits pass ({skipped} clauses skipped)"
 
 
-def _footprints(n: int) -> tuple[bool, str]:
+def _footprints(n: int, seed) -> tuple[bool, str]:
     runs = 0
     for pi in symmetric_group(n):
         for alpha in range(1, n + 1):
@@ -297,6 +444,7 @@ CHECK_GROUPS = {
 def run_checks(n: int, which: str = "all", seed=None) -> dict:
     """Run the named check group over the symmetric group of size n.
 
+    The check called name in CHECK_GROUPS is the function _name(n, seed).
     Returns {check_name: (ok, detail)}.
     """
     if which == "all":
@@ -305,17 +453,4 @@ def run_checks(n: int, which: str = "all", seed=None) -> dict:
         names = list(CHECK_GROUPS[which])
     else:
         raise ValueError(f"unknown check group {which!r}")
-    runners = {
-        "triple_agreement": lambda: _triple_agreement(n),
-        "monk_poly": lambda: _monk_poly(n),
-        "stability": lambda: _stability(n),
-        "poly_ring": lambda: _poly_ring(seed),
-        "bijection": lambda: _bijection(n),
-        "compatible": lambda: _compatible(n),
-        "roundtrip": lambda: _roundtrip(n),
-        "commutation": lambda: _commutation(n),
-        "partition": lambda: _partition(n),
-        "lemmas": lambda: _lemmas(n),
-        "footprints": lambda: _footprints(n),
-    }
-    return {name: runners[name]() for name in names}
+    return {name: globals()["_" + name](n, seed) for name in names}

@@ -105,6 +105,11 @@ def test_criterion_06_monk_partition_property():
                 assert verify_partition(pi, alpha, model), (pi, alpha, model)
 
 
+def test_verify_partition_rejects_unknown_model():
+    with pytest.raises(ValueError, match="unknown model"):
+        verify_partition(Permutation((2, 1)), 1, "xyz")
+
+
 def test_criterion_07_footprint_distinctness():
     for pi in symmetric_group(4):
         for alpha in range(1, 5):

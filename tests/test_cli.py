@@ -208,3 +208,19 @@ def test_unknown_model(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert run(capsys, "pop", "/nonexistent/diagram.json")[0] == 2
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '"x"', "null"])
+@pytest.mark.parametrize(
+    "argv",
+    [["render"], ["pop"], ["monk", "x", "--alpha", "1"], ["phi"]],
+)
+def test_non_object_payload_is_bad_input(tmp_path, capsys, argv, payload):
+    path = tmp_path / "p.json"
+    path.write_text(payload)
+    argv = list(argv)
+    argv.insert(2 if argv[0] == "monk" else 1, str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
