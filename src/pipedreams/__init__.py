@@ -21,6 +21,7 @@ from .errors import (
     EmptyDiagramError,
     InvalidDiagramError,
     InvalidSequenceError,
+    InvariantError,
     MoveError,
 )
 from .monk import (
@@ -75,6 +76,7 @@ __all__ = [
     "EmptyDiagramError",
     "InvalidDiagramError",
     "InvalidSequenceError",
+    "InvariantError",
     "MonkTrace",
     "MoveError",
     "Permutation",

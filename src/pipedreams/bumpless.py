@@ -88,22 +88,15 @@ class _Editor:
 
 
 class BpdTrace:
-    """Paths and crossings of all pipes of a diagram."""
+    """The permutation, paths and crossings of all pipes of a diagram."""
 
-    __slots__ = ("n", "exit_rows", "paths", "strand", "pair_crossings")
+    __slots__ = ("perm", "paths", "strand", "pair_crossings")
 
-    def __init__(self, n, exit_rows, paths, strand, pair_crossings):
-        self.n = n
-        self.exit_rows = exit_rows
+    def __init__(self, perm, paths, strand, pair_crossings):
+        self.perm = perm
         self.paths = paths
         self.strand = strand
         self.pair_crossings = pair_crossings
-
-    def traced_perm(self) -> Permutation:
-        word = [0] * self.n
-        for col, row in self.exit_rows.items():
-            word[row - 1] = col
-        return Permutation(word)
 
 
 def _trim_rows(rows: tuple[str, ...]) -> tuple[str, ...]:
@@ -258,7 +251,7 @@ class BumplessPipeDream:
                     raise InvalidDiagramError(
                         f"mismatched edge between {(i, j)} and {(i + 1, j)}"
                     )
-        exit_rows: dict[int, int] = {}
+        word = [0] * n  # word[row - 1] is the pipe leaving through that row
         paths: dict[int, list[tuple[int, int, str]]] = {}
         strand: dict[tuple[int, int, str], int] = {}
         for k in range(1, n + 1):
@@ -285,12 +278,12 @@ class BumplessPipeDream:
                         f"pipe {k} escaped through the top"
                     )
                 if j > n:
-                    exit_rows[k] = i
+                    word[i - 1] = k
                     break
             else:  # pragma: no cover
                 raise AssertionError("pipe trace did not terminate")
             paths[k] = path
-        if len(set(exit_rows.values())) != n:
+        if 0 in word:
             raise InvalidDiagramError("two pipes exit through the same row")
         # Every segment of the grid must lie on some pipe.
         for i in range(1, n + 1):
@@ -305,8 +298,7 @@ class BumplessPipeDream:
             pair = frozenset({strand[(i, j, "NS")], strand[(i, j, "EW")]})
             pair_crossings.setdefault(pair, []).append((i, j))
         return BpdTrace(
-            n,
-            exit_rows,
+            Permutation(word),
             paths,
             strand,
             {p: tuple(sorted(v)) for p, v in pair_crossings.items()},
@@ -332,7 +324,7 @@ class BumplessPipeDream:
                 raise InvalidDiagramError(
                     f"pipes {sorted(pair)} cross twice at {positions}"
                 )
-        pi = trace.traced_perm()
+        pi = trace.perm
         if not allow_bump:
             count = len(self.blanks())
             if count != pi.length():

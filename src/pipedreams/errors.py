@@ -15,3 +15,7 @@ class EmptyDiagramError(ValueError):
 
 class MoveError(ValueError):
     """A move (droop, insertion, Monk step) is not applicable where asked."""
+
+
+class InvariantError(AssertionError):
+    """An internal invariant failed; raised explicitly, so python -O keeps it."""

@@ -11,7 +11,7 @@ partition the diagrams of all pi t_{a,l}.
 from __future__ import annotations
 
 from .bumpless import BumplessPipeDream, _Editor, _SEGMENTS
-from .errors import MoveError
+from .errors import InvariantError, MoveError
 from .perm import Permutation
 from .pipedream import PipeDream, trace_pipes
 
@@ -47,15 +47,60 @@ def _cover_step(base: Permutation, position: int, out: Permutation) -> int:
     """The l with out = base * t_{position, l}; checked to be a cover."""
     tau = base.inverse() * out
     moved = [i for i in range(1, max(tau.size, 1) + 1) if tau(i) != i]
-    assert len(moved) == 2 and position in moved, (
-        f"output permutation differs from the base by {moved}, not a "
-        f"transposition at {position}"
-    )
+    if len(moved) != 2 or position not in moved:
+        raise InvariantError(
+            f"output permutation differs from the base by {moved}, not a "
+            f"transposition at {position}"
+        )
     l = next(i for i in moved if i != position)
-    assert l > position, f"landing index {l} not beyond {position}"
-    assert out == base.right_t(position, l)
-    assert out.length() == base.length() + 1, "output is not a cover"
+    if l <= position:
+        raise InvariantError(f"landing index {l} not beyond {position}")
+    if out != base.right_t(position, l):
+        raise InvariantError(f"{out} is not {base} t_({position},{l})")
+    if out.length() != base.length() + 1:
+        raise InvariantError(f"output {out} is not a cover of {base}")
     return l
+
+
+# ---------------------------------------------------------------------------
+# The frame of a move.  cascade(diagram, pi, *args) does the model's part and
+# returns (out, steps, footprints, complete_footprints).
+
+
+def _x_move(diagram, alpha: int, cascade):
+    if alpha < 1:
+        raise ValueError("row index must be positive")
+    pi = diagram.perm()
+    return _finish("x", {"alpha": alpha}, pi, alpha, *cascade(diagram, pi, alpha))
+
+
+def _m_move(diagram, s: int, beta: int, cascade):
+    if not 1 <= s < beta:
+        raise ValueError("need 1 <= s < beta")
+    sigma = diagram.perm()
+    pi = sigma.right_t(s, beta)
+    if pi.length() != sigma.length() - 1:
+        raise ValueError(
+            f"{sigma} is not a cover of {pi} at positions ({s}, {beta})"
+        )
+    return _finish(
+        "m", {"s": s, "beta": beta}, pi, beta, *cascade(diagram, pi, s, beta)
+    )
+
+
+def _finish(kind, params, base, position, out, steps, footprints, complete):
+    l = _cover_step(base, position, out.perm())
+    return out, MonkTrace(
+        kind, params, tuple(steps), tuple(footprints), complete, l
+    )
+
+
+def _unique_crossing(trace, pair: frozenset) -> tuple[int, int]:
+    """The one position where the two pipes of pair cross in a trace."""
+    positions = trace.pair_crossings.get(pair, ())
+    if len(positions) != 1:
+        raise InvariantError(f"pipes {sorted(pair)} cross at {positions}")
+    return positions[0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,63 +191,77 @@ def bpd_cross_bump_swap(
         raise MoveError(
             f"tiles at {bump} and {cross} belong to different pipe pairs"
         )
+    return _set_tiles(diagram, (bump, "+"), (cross, "b"))
+
+
+def _set_tiles(diagram: BumplessPipeDream, *changes) -> BumplessPipeDream:
+    """The diagram with each (position, letter) of changes written in.
+
+    No edge is checked: callers only swap a '+' and a 'b' they have just
+    read, and those two tiles touch the same four edges.
+    """
     rows = [list(row) for row in diagram.rows]
-    rows[bump[0] - 1][bump[1] - 1] = "+"
-    rows[cross[0] - 1][cross[1] - 1] = "b"
+    for (i, j), letter in changes:
+        rows[i - 1][j - 1] = letter
     return BumplessPipeDream("".join(row) for row in rows)
 
 
-def _bpd_monk_loop(
+def _bpd_cascade(
     cur: BumplessPipeDream,
     pos: tuple[int, int],
     tracked: int,
     steps: list,
     footprints: list,
-) -> BumplessPipeDream:
-    """Shared cascade: min-droop, chase the tracked pipe, resolve bumps."""
+):
+    """Min-droop from pos, chase the tracked pipe, resolve bumps."""
     for _ in range(8 * cur.n * cur.n + 8):
         cur, corner = bpd_min_droop(cur, pos)
         steps.append(("min_droop", (pos, corner)))
         footprints.append(pos)
         t = cur.tile(*corner)
+        trace = cur.trace(allow_bump=True)
         if t == "j":
-            trace = cur.trace(allow_bump=True)
             turns = [
                 (i, j)
                 for i, j, seg in trace.paths[tracked]
                 if seg == "SE" and i == corner[0]
             ]
-            assert len(turns) == 1, (
-                f"tracked pipe {tracked} has turns {turns} in row {corner[0]}"
-            )
+            if len(turns) != 1:
+                raise InvariantError(
+                    f"tracked pipe {tracked} has turns {turns} in row {corner[0]}"
+                )
             pos = turns[0]
         elif t == "b":
-            trace = cur.trace(allow_bump=True)
-            other = trace.strand[(*corner, "SE")]
-            crossings = trace.pair_crossings.get(
-                frozenset({tracked, other}), ()
-            )
-            if crossings:
-                assert len(crossings) == 1, (
-                    f"pipes {tracked} and {other} cross at {crossings}"
-                )
-                cur = bpd_cross_bump_swap(cur, corner, crossings[0])
-                steps.append(("cross_bump_swap", (corner, crossings[0])))
-                footprints.append(crossings[0])
-                pos = crossings[0]
-            else:
-                ed = _Editor(cur.rows)
-                ed.remove(*corner, "SE")
-                ed.remove(*corner, "NW")
-                ed.add(*corner, "NS")
-                ed.add(*corner, "EW")
-                cur = BumplessPipeDream(ed.apply())
+            pair = frozenset({tracked, trace.strand[(*corner, "SE")]})
+            if pair not in trace.pair_crossings:
+                cur = _set_tiles(cur, (corner, "+"))
                 steps.append(("bump_to_cross", (corner,)))
                 footprints.append(corner)
-                return cur
+                return cur.trim(), steps, footprints, None
+            cross = _unique_crossing(trace, pair)
+            cur = bpd_cross_bump_swap(cur, corner, cross)
+            steps.append(("cross_bump_swap", (corner, cross)))
+            footprints.append(cross)
+            pos = cross
         else:  # pragma: no cover
-            raise AssertionError(f"unexpected corner tile {t!r}")
-    raise AssertionError("insertion cascade did not terminate")  # pragma: no cover
+            raise InvariantError(f"unexpected corner tile {t!r}")
+    raise InvariantError("insertion cascade did not terminate")  # pragma: no cover
+
+
+def _bpd_x(diagram: BumplessPipeDream, pi: Permutation, alpha: int):
+    cur = diagram.grow_to(max(diagram.n, alpha))
+    turn_cols = [
+        j for j in range(1, cur.n + 1) if cur.tile(alpha, j) == "r"
+    ]
+    if not turn_cols:
+        raise InvariantError(f"row {alpha} has no southeast turn")
+    return _bpd_cascade(cur, (alpha, max(turn_cols)), pi(alpha), [], [])
+
+
+def _bpd_m(diagram: BumplessPipeDream, pi: Permutation, s: int, beta: int):
+    pos = _unique_crossing(diagram.trace(), frozenset({pi(s), pi(beta)}))
+    cur = _set_tiles(diagram, (pos, "b"))
+    return _bpd_cascade(cur, pos, pi(beta), [("cross_to_bump", (pos,))], [pos])
 
 
 def bpd_x_insert(
@@ -214,26 +273,7 @@ def bpd_x_insert(
     >>> out.rows, tr.result_l
     (('.r', 'r+'), 2)
     """
-    if alpha < 1:
-        raise ValueError("row index must be positive")
-    pi = diagram.validate()
-    cur = diagram.grow_to(max(diagram.n, alpha))
-    tracked = pi(alpha)
-    turn_cols = [
-        j for j in range(1, cur.n + 1) if cur.tile(alpha, j) == "r"
-    ]
-    assert turn_cols, f"row {alpha} has no southeast turn"
-    pos = (alpha, max(turn_cols))
-    steps: list = []
-    footprints: list = []
-    cur = _bpd_monk_loop(cur, pos, tracked, steps, footprints)
-    out = cur.trim()
-    sigma = out.validate()
-    l = _cover_step(pi, alpha, sigma)
-    trace = MonkTrace(
-        "x", {"alpha": alpha}, tuple(steps), tuple(footprints), None, l
-    )
-    return out, trace
+    return _x_move(diagram, alpha, _bpd_x)
 
 
 def bpd_m_move(
@@ -245,47 +285,40 @@ def bpd_m_move(
     len(pi) = len(sigma) - 1; the crossing of the two pipes that exit in
     rows s and beta is turned into a bump and pushed until it resolves.
     """
-    if not 1 <= s < beta:
-        raise ValueError("need 1 <= s < beta")
-    sigma = diagram.validate()
-    pi = sigma.right_t(s, beta)
-    if pi.length() != sigma.length() - 1:
-        raise ValueError(
-            f"{sigma} is not a cover of {pi} at positions ({s}, {beta})"
-        )
-    tracked = pi(beta)
-    small = pi(s)
-    trace0 = diagram.trace()
-    crossings = trace0.pair_crossings.get(frozenset({small, tracked}), ())
-    assert len(crossings) == 1, (
-        f"pipes {small} and {tracked} cross at {crossings}"
-    )
-    pos = crossings[0]
-    ed = _Editor(diagram.rows)
-    ed.remove(*pos, "NS")
-    ed.remove(*pos, "EW")
-    ed.add(*pos, "SE")
-    ed.add(*pos, "NW")
-    cur = BumplessPipeDream(ed.apply())
-    steps: list = [("cross_to_bump", (pos,))]
-    footprints: list = [pos]
-    cur = _bpd_monk_loop(cur, pos, tracked, steps, footprints)
-    out = cur.trim()
-    sigma_out = out.validate()
-    l = _cover_step(pi, beta, sigma_out)
-    trace = MonkTrace(
-        "m", {"s": s, "beta": beta}, tuple(steps), tuple(footprints), None, l
-    )
-    return out, trace
+    return _m_move(diagram, s, beta, _bpd_m)
 
 
 # ---------------------------------------------------------------------------
 # Ordinary pipe dream moves
 
 
-def _pd_window(crosses, *sizes) -> int:
-    needed = max((r + c for r, c in crosses), default=1)
-    return max(needed, *sizes)
+def _pd_shift(
+    crosses: set,
+    base: Permutation,
+    pos: tuple[int, int],
+    steps: list,
+    footprints: list,
+    complete: list,
+) -> tuple[int, int]:
+    """Move the cross at pos to the first elbow to its right in its row.
+
+    Without that cross the set must still be a diagram of base.  Returns
+    the position of the re-added cross.
+    """
+    i, j = pos
+    crosses.discard(pos)
+    if PipeDream(crosses).perm() != base:
+        raise InvariantError(
+            f"removing the cross at {pos} lost the base permutation {base}"
+        )
+    jp = j + 1
+    while (i, jp) in crosses:
+        jp += 1
+    crosses.add((i, jp))
+    steps.extend((("remove", (pos,)), ("add", ((i, jp),))))
+    footprints.extend((pos, (i, jp)))
+    complete.extend((i, jj) for jj in range(j, jp + 1))
+    return i, jp
 
 
 def _pd_cascade(
@@ -295,7 +328,7 @@ def _pd_cascade(
     steps: list,
     footprints: list,
     complete: list,
-) -> None:
+):
     """Resolve double crossings until the cross set is reduced again.
 
     Only the pair of pipes passing through the newly added cross is
@@ -306,33 +339,37 @@ def _pd_cascade(
     by a reflection, which can shorten it by more than one), but each
     removal restores a reduced diagram of the base permutation.
     """
-    guard = 0
-    while True:
-        guard += 1
-        assert guard <= 4 * len(crosses) * len(crosses) + 4, (
-            "cascade did not terminate"
-        )
-        tr = trace_pipes(crosses, _pd_window(crosses, max(base.size, 1)))
-        pair = tr.cross_pipes[last_added]
-        positions = tr.pair_crossings[pair]
+    for _ in range(4 * len(crosses) * len(crosses) + 4):
+        tr = trace_pipes(crosses)
+        positions = tr.pair_crossings[tr.cross_pipes[last_added]]
         if len(positions) == 1:
-            return
-        assert len(positions) == 2, f"pair crosses thrice: {positions}"
-        i, j = next(p for p in positions if p != last_added)
-        crosses.discard((i, j))
-        assert PipeDream(crosses).perm() == base, (
-            "intermediate diagram lost the base permutation"
-        )
-        jp = j + 1
-        while (i, jp) in crosses:
-            jp += 1
-        crosses.add((i, jp))
-        steps.append(("remove", ((i, j),)))
-        steps.append(("add", ((i, jp),)))
-        footprints.append((i, j))
-        footprints.append((i, jp))
-        complete.extend((i, jj) for jj in range(j, jp + 1))
-        last_added = (i, jp)
+            return PipeDream(crosses), steps, footprints, tuple(complete)
+        if len(positions) != 2:
+            raise InvariantError(f"pair crosses thrice: {positions}")
+        older = next(p for p in positions if p != last_added)
+        last_added = _pd_shift(crosses, base, older, steps, footprints, complete)
+    raise InvariantError("cascade did not terminate")
+
+
+def _pd_x(diagram: PipeDream, pi: Permutation, alpha: int):
+    crosses = set(diagram.crosses)
+    j = 1
+    while (alpha, j) in crosses:
+        j += 1
+    crosses.add((alpha, j))
+    return _pd_cascade(
+        crosses, pi, (alpha, j), [("add", ((alpha, j),))], [(alpha, j)], [(alpha, j)]
+    )
+
+
+def _pd_m(diagram: PipeDream, pi: Permutation, s: int, beta: int):
+    pos = _unique_crossing(
+        trace_pipes(diagram.crosses), frozenset({pi(s), pi(beta)})
+    )
+    crosses = set(diagram.crosses)
+    steps, footprints, complete = [], [], []
+    last = _pd_shift(crosses, pi, pos, steps, footprints, complete)
+    return _pd_cascade(crosses, pi, last, steps, footprints, complete)
 
 
 def pd_x_insert(diagram: PipeDream, alpha: int) -> tuple[PipeDream, MonkTrace]:
@@ -342,30 +379,7 @@ def pd_x_insert(diagram: PipeDream, alpha: int) -> tuple[PipeDream, MonkTrace]:
     >>> sorted(out.crosses), tr.result_l
     ([(3, 1)], 4)
     """
-    if alpha < 1:
-        raise ValueError("row index must be positive")
-    pi = diagram.perm()
-    crosses = set(diagram.crosses)
-    j0 = 1
-    while (alpha, j0) in crosses:
-        j0 += 1
-    crosses.add((alpha, j0))
-    steps: list = [("add", ((alpha, j0),))]
-    footprints: list = [(alpha, j0)]
-    complete: list = [(alpha, j0)]
-    _pd_cascade(crosses, pi, (alpha, j0), steps, footprints, complete)
-    out = PipeDream(crosses)
-    sigma = out.perm()
-    l = _cover_step(pi, alpha, sigma)
-    trace = MonkTrace(
-        "x",
-        {"alpha": alpha},
-        tuple(steps),
-        tuple(footprints),
-        tuple(complete),
-        l,
-    )
-    return out, trace
+    return _x_move(diagram, alpha, _pd_x)
 
 
 def pd_m_move(diagram: PipeDream, s: int, beta: int) -> tuple[PipeDream, MonkTrace]:
@@ -375,49 +389,7 @@ def pd_m_move(diagram: PipeDream, s: int, beta: int) -> tuple[PipeDream, MonkTra
     >>> sorted(out.crosses), tr.result_l
     ([(1, 2)], 3)
     """
-    if not 1 <= s < beta:
-        raise ValueError("need 1 <= s < beta")
-    sigma = diagram.perm()
-    pi = sigma.right_t(s, beta)
-    if pi.length() != sigma.length() - 1:
-        raise ValueError(
-            f"{sigma} is not a cover of {pi} at positions ({s}, {beta})"
-        )
-    window = _pd_window(
-        diagram.crosses, max(sigma.size, 1), pi(s), pi(beta)
-    )
-    tr0 = trace_pipes(diagram.crosses, window)
-    pair = frozenset({pi(s), pi(beta)})
-    positions = tr0.pair_crossings.get(pair, ())
-    assert len(positions) == 1, (
-        f"pipes {sorted(pair)} cross at {positions}"
-    )
-    i, j = positions[0]
-    crosses = set(diagram.crosses)
-    crosses.discard((i, j))
-    assert PipeDream(crosses).perm() == pi, (
-        "uncrossing did not return to the base permutation"
-    )
-    jp = j + 1
-    while (i, jp) in crosses:
-        jp += 1
-    crosses.add((i, jp))
-    steps: list = [("remove", ((i, j),)), ("add", ((i, jp),))]
-    footprints: list = [(i, j), (i, jp)]
-    complete: list = [(i, jj) for jj in range(j, jp + 1)]
-    _pd_cascade(crosses, pi, (i, jp), steps, footprints, complete)
-    out = PipeDream(crosses)
-    sigma_out = out.perm()
-    l = _cover_step(pi, beta, sigma_out)
-    trace = MonkTrace(
-        "m",
-        {"s": s, "beta": beta},
-        tuple(steps),
-        tuple(footprints),
-        tuple(complete),
-        l,
-    )
-    return out, trace
+    return _m_move(diagram, s, beta, _pd_m)
 
 
 def footprints_audit(trace: MonkTrace) -> bool:

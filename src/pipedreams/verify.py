@@ -28,7 +28,7 @@ from .monk import (
     pd_m_move,
     pd_x_insert,
 )
-from .perm import Permutation, monk_covers, symmetric_group
+from .perm import Permutation, is_bruhat_cover, monk_covers, symmetric_group
 from .pipedream import PipeDream, enumerate_pipe_dreams
 from .poly import SparsePolynomial, schubert_polynomial
 
@@ -124,7 +124,7 @@ def bruhat_covers(pi: Permutation, bound: int | None = None) -> list[tuple[int, 
     out = []
     for b in range(2, bound + 1):
         for s in range(1, b):
-            if pi.right_t(s, b).length() == pi.length() + 1:
+            if is_bruhat_cover(pi, s, b):
                 out.append((s, b))
     return out
 

@@ -1,7 +1,8 @@
-"""Run every docstring example in the package as a test."""
+"""Run every docstring example in the package and the README as a test."""
 
 import doctest
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -22,4 +23,10 @@ MODULES = [
 def test_module_doctests(name):
     module = importlib.import_module(name)
     result = doctest.testmod(module, optionflags=doctest.NORMALIZE_WHITESPACE)
+    assert result.failed == 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
     assert result.failed == 0

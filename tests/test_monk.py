@@ -1,5 +1,10 @@
 """Tests for the insertion moves on both diagram models."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pipedreams import (
@@ -21,6 +26,7 @@ from pipedreams import (
     phi,
     symmetric_group,
 )
+from pipedreams.verify import MODELS
 
 
 def covers_of(pi, bound):
@@ -276,6 +282,38 @@ def test_result_l_is_the_cover_step():
     for b in enumerate_bpds(base):
         out, tr = bpd_x_insert(b, 2)
         assert out.perm() == base.right_t(2, tr.result_l)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_move_argument_errors(name):
+    model = MODELS[name]
+    d = next(iter(model.enumerate(Permutation((2, 1)))))
+    with pytest.raises(ValueError, match="row index must be positive"):
+        model.x(d, 0)
+    for s, beta in ((2, 2), (0, 1)):
+        with pytest.raises(ValueError, match="need 1 <= s < beta"):
+            model.m(d, s, beta)
+
+
+def test_cover_step_check_survives_python_O():
+    code = (
+        "from pipedreams import InvariantError, Permutation\n"
+        "from pipedreams.monk import _cover_step\n"
+        "try:\n"
+        "    _cover_step(Permutation(), 1, Permutation([3, 2, 1]))\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert "not a cover" in run.stdout
 
 
 # -------------------------------------------------------------- stress case
