@@ -76,6 +76,46 @@ def test_validate_rejects_double_crossing():
         BumplessPipeDream(non_reduced[0]).validate()
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_trace_matches_oracle(n):
+    for rows in brute_grids(n):
+        trace = BumplessPipeDream(rows).trace()
+        exit_rows, pair_cells = trace_grid(rows)
+        word = [0] * n
+        for column, row in exit_rows.items():
+            word[row - 1] = column
+        assert trace.perm == Permutation(word)
+        assert trace.pair_crossings == {
+            pair: tuple(sorted(cells)) for pair, cells in pair_cells.items()
+        }
+
+
+# One grid per rejection branch that a grid can reach.  The no-edge meet,
+# the escape through the top, two pipes exiting one row, an untraced segment
+# and a blank count off the length are guards: no grid that passes the
+# border and edge checks without a double crossing reaches them.
+REJECTIONS = [
+    ((".r", "rb"), "bump tile at (2, 2)"),
+    (("|",), "segment exits the top at column 1"),
+    (("-",), "no pipe enters at column 1"),
+    (("--", "++"), "segment exits the left at row 1"),
+    (("r.", "||"), "no pipe leaves at row 1"),
+    (("rr", "rr"), "mismatched edge between (1, 1) and (1, 2)"),
+    ((".r", "|r"), "mismatched edge between (1, 1) and (2, 1)"),
+    (
+        ("..r-", ".r+-", "r+jr", "||r+"),
+        "pipes [1, 2] cross twice at ((2, 3), (3, 2))",
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, message", REJECTIONS)
+def test_validate_rejection_messages(rows, message):
+    with pytest.raises(InvalidDiagramError) as excinfo:
+        BumplessPipeDream(rows).validate()
+    assert str(excinfo.value) == message
+
+
 def test_bump_tile_only_with_flag():
     rows = (".r", "rb")
     with pytest.raises(InvalidDiagramError):
