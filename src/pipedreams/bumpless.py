@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .errors import EmptyDiagramError, InvalidDiagramError, MoveError
+from .errors import EmptyDiagramError, InvalidDiagramError, InvariantError, MoveError
 from .perm import Permutation
 from .poly import SparsePolynomial
 
@@ -38,6 +38,23 @@ _EDGES = {
     "EW": ("E", "W"),
     "SE": ("S", "E"),
     "NW": ("N", "W"),
+}
+
+# Edge bits: the 4-bit mask of a letter has the bit of every edge its
+# segments touch.
+_N, _E, _S, _W = 1, 2, 4, 8
+_BIT = {"N": _N, "E": _E, "S": _S, "W": _W}
+_MASK = {
+    letter: sum(_BIT[e] for seg in segs for e in _EDGES[seg])
+    for letter, segs in _SEGMENTS.items()
+}
+_COUNT = {letter: len(segs) for letter, segs in _SEGMENTS.items()}
+# (letter, entering edge) -> (segment, leaving edge) for a pipe walk.
+_STEP = {
+    (letter, e): (seg, out)
+    for letter, segs in _SEGMENTS.items()
+    for seg in segs
+    for e, out in (_EDGES[seg], _EDGES[seg][::-1])
 }
 
 
@@ -124,7 +141,7 @@ class BumplessPipeDream:
     ('r-', '|r')
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_perm")
 
     def __init__(self, rows: Iterable[str]):
         rs = tuple(str(row) for row in rows)
@@ -138,6 +155,7 @@ class BumplessPipeDream:
                 if ch not in _SEGMENTS:
                     raise ValueError(f"unknown tile letter {ch!r}")
         self.rows = rs
+        self._perm = None  # (rows, permutation) once validate() passed
 
     @property
     def n(self) -> int:
@@ -145,9 +163,6 @@ class BumplessPipeDream:
 
     def tile(self, i: int, j: int) -> str:
         return self.rows[i - 1][j - 1]
-
-    def _edges(self, i: int, j: int) -> set[str]:
-        return {e for seg in _SEGMENTS[self.tile(i, j)] for e in _EDGES[seg]}
 
     @classmethod
     def identity(cls, n: int) -> "BumplessPipeDream":
@@ -202,14 +217,6 @@ class BumplessPipeDream:
             if self.tile(i, j) == "."
         ]
 
-    def cross_positions(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if self.tile(i, j) == "+"
-        ]
-
     def weight(self) -> SparsePolynomial:
         exp: list[int] = []
         for i, _ in self.blanks():
@@ -220,51 +227,52 @@ class BumplessPipeDream:
 
     def trace(self, allow_bump: bool = False) -> BpdTrace:
         """Follow every pipe; raises InvalidDiagramError on malformed grids."""
-        n = self.n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                t = self.tile(i, j)
-                if t == "b" and not allow_bump:
-                    raise InvalidDiagramError(f"bump tile at {(i, j)}")
+        rows = self.rows
+        n = len(rows)
+        for i, row in enumerate(rows, 1):
+            if not allow_bump and "b" in row:
+                raise InvalidDiagramError(f"bump tile at {(i, row.index('b') + 1)}")
+        masks = [[_MASK[ch] for ch in row] for row in rows]
         # Border consistency: no segment may poke through the north or west
         # border, and every south and east border edge must carry a pipe.
         for j in range(1, n + 1):
-            if "N" in self._edges(1, j):
+            if masks[0][j - 1] & _N:
                 raise InvalidDiagramError(f"segment exits the top at column {j}")
-            if "S" not in self._edges(n, j):
+            if not masks[-1][j - 1] & _S:
                 raise InvalidDiagramError(f"no pipe enters at column {j}")
         for i in range(1, n + 1):
-            if "W" in self._edges(i, 1):
+            if masks[i - 1][0] & _W:
                 raise InvalidDiagramError(f"segment exits the left at row {i}")
-            if "E" not in self._edges(i, n):
+            if not masks[i - 1][-1] & _E:
                 raise InvalidDiagramError(f"no pipe leaves at row {i}")
-        # Interior edge matching.
-        for i in range(1, n + 1):
-            for j in range(1, n):
-                if ("E" in self._edges(i, j)) != ("W" in self._edges(i, j + 1)):
-                    raise InvalidDiagramError(
-                        f"mismatched edge between {(i, j)} and {(i, j + 1)}"
-                    )
-        for i in range(1, n):
-            for j in range(1, n + 1):
-                if ("S" in self._edges(i, j)) != ("N" in self._edges(i + 1, j)):
-                    raise InvalidDiagramError(
-                        f"mismatched edge between {(i, j)} and {(i + 1, j)}"
-                    )
+        # Interior edge matching: the E edge of every tile against the W edge
+        # of its east neighbour, then the S edge against the N edge below.
+        for di, dj, near, far in ((0, 1, _E, _W), (1, 0, _S, _N)):
+            for i in range(1, n + 1 - di):
+                here, there = masks[i - 1], masks[i - 1 + di]
+                for j in range(1, n + 1 - dj):
+                    if bool(here[j - 1] & near) != bool(there[j - 1 + dj] & far):
+                        raise InvalidDiagramError(
+                            f"mismatched edge between {(i, j)} and {(i + di, j + dj)}"
+                        )
         word = [0] * n  # word[row - 1] is the pipe leaving through that row
         paths: dict[int, list[tuple[int, int, str]]] = {}
         strand: dict[tuple[int, int, str], int] = {}
         for k in range(1, n + 1):
             i, j = n, k
             entering = "S"
-            path = []
+            paths[k] = path = []
             for _ in range(2 * n * n + 2):
-                t = self.tile(i, j)
-                seg = self._segment_from(t, entering, (i, j))
-                path.append((i, j, seg))
-                strand[(i, j, seg)] = k
-                # Leave through the segment's other edge.
-                out = next(e for e in _EDGES[seg] if e != entering)
+                t = rows[i - 1][j - 1]
+                step = _STEP.get((t, entering))
+                if step is None:
+                    raise InvalidDiagramError(
+                        f"pipe meets tile {t!r} at {(i, j)} with no {entering} edge"
+                    )
+                seg, out = step
+                key = (i, j, seg)
+                path.append(key)
+                strand[key] = k
                 if out == "N":
                     i -= 1
                     entering = "S"
@@ -272,31 +280,32 @@ class BumplessPipeDream:
                     j += 1
                     entering = "W"
                 else:  # pragma: no cover
-                    raise AssertionError("pipe moved south or west")
+                    raise InvariantError("pipe moved south or west")
                 if i < 1:
-                    raise InvalidDiagramError(
-                        f"pipe {k} escaped through the top"
-                    )
+                    raise InvalidDiagramError(f"pipe {k} escaped through the top")
                 if j > n:
                     word[i - 1] = k
                     break
             else:  # pragma: no cover
-                raise AssertionError("pipe trace did not terminate")
-            paths[k] = path
+                raise InvariantError("pipe trace did not terminate")
         if 0 in word:
             raise InvalidDiagramError("two pipes exit through the same row")
-        # Every segment of the grid must lie on some pipe.
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for seg in _SEGMENTS[self.tile(i, j)]:
-                    if (i, j, seg) not in strand:
-                        raise InvalidDiagramError(
-                            f"untraced {seg} segment at {(i, j)}"
-                        )
+        # Every segment of the grid must lie on some pipe.  strand holds
+        # traced segments only, so it holds them all iff the counts agree.
+        if len(strand) != sum(_COUNT[ch] for row in rows for ch in row):
+            for i, row in enumerate(rows, 1):
+                for j, ch in enumerate(row, 1):
+                    for seg in _SEGMENTS[ch]:
+                        if (i, j, seg) not in strand:
+                            raise InvalidDiagramError(
+                                f"untraced {seg} segment at {(i, j)}"
+                            )
         pair_crossings: dict[frozenset[int], list[tuple[int, int]]] = {}
-        for i, j in self.cross_positions():
-            pair = frozenset({strand[(i, j, "NS")], strand[(i, j, "EW")]})
-            pair_crossings.setdefault(pair, []).append((i, j))
+        for i, row in enumerate(rows, 1):
+            for j, ch in enumerate(row, 1):
+                if ch == "+":
+                    pair = frozenset({strand[(i, j, "NS")], strand[(i, j, "EW")]})
+                    pair_crossings.setdefault(pair, []).append((i, j))
         return BpdTrace(
             Permutation(word),
             paths,
@@ -304,20 +313,17 @@ class BumplessPipeDream:
             {p: tuple(sorted(v)) for p, v in pair_crossings.items()},
         )
 
-    def _segment_from(self, tile: str, entering: str, pos) -> str:
-        for seg in _SEGMENTS[tile]:
-            if entering in _EDGES[seg]:
-                return seg
-        raise InvalidDiagramError(
-            f"pipe meets tile {tile!r} at {pos} with no {entering} edge"
-        )
-
     def validate(self, allow_bump: bool = False) -> Permutation:
         """Check well-formedness and return the permutation of the diagram.
 
         Requires no pair of pipes to cross more than once; bump tiles are
-        rejected unless allow_bump is set.
+        rejected unless allow_bump is set.  The permutation of a grid that
+        passed without bumps is kept, keyed to its rows, and returned by
+        later calls without a second trace.
         """
+        rows = self.rows
+        if self._perm is not None and self._perm[0] is rows:
+            return self._perm[1]
         trace = self.trace(allow_bump=allow_bump)
         for pair, positions in trace.pair_crossings.items():
             if len(positions) > 1:
@@ -326,11 +332,12 @@ class BumplessPipeDream:
                 )
         pi = trace.perm
         if not allow_bump:
-            count = len(self.blanks())
+            count = sum(row.count(".") for row in rows)
             if count != pi.length():
                 raise InvalidDiagramError(
                     f"{count} blanks but permutation length {pi.length()}"
                 )
+            self._perm = (rows, pi)
         return pi
 
     def perm(self) -> Permutation:
@@ -364,14 +371,7 @@ class BumplessPipeDream:
         for t in range(a + 1, c):
             ed.add(t, d, "NS")
         ed.add(c, d, "NW")
-        result = BumplessPipeDream(ed.apply())
-        try:
-            new_pi = result.validate()
-        except InvalidDiagramError as exc:
-            raise MoveError(f"droop breaks the diagram: {exc}") from exc
-        if new_pi != self.validate():
-            raise MoveError("droop changed the permutation")
-        return result
+        return self._moved(ed, "droop")
 
     def undroop(self, corner: tuple[int, int], dest: tuple[int, int]) -> "BumplessPipeDream":
         """Inverse of droop: corner is the 'j' tile, dest the blank northwest."""
@@ -397,13 +397,17 @@ class BumplessPipeDream:
         for t in range(a + 1, c):
             ed.add(t, b, "NS")
         ed.add(a, b, "SE")
+        return self._moved(ed, "undroop")
+
+    def _moved(self, ed: _Editor, move: str) -> "BumplessPipeDream":
+        """The diagram ed makes of self; it must keep self's permutation."""
         result = BumplessPipeDream(ed.apply())
         try:
             new_pi = result.validate()
         except InvalidDiagramError as exc:
-            raise MoveError(f"undroop breaks the diagram: {exc}") from exc
+            raise MoveError(f"{move} breaks the diagram: {exc}") from exc
         if new_pi != self.validate():
-            raise MoveError("undroop changed the permutation")
+            raise MoveError(f"{move} changed the permutation")
         return result
 
     def __eq__(self, other) -> bool:
@@ -471,7 +475,6 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
     r = min(i for i, _ in blanks)
     x = r
     y = max(j for i, j in blanks if i == r)
-    a = None
     footprints: list[tuple[int, int]] = []
     cur = diagram
     for _ in range(2 * cur.n * cur.n + 2):
@@ -479,31 +482,31 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
         # Slide east to the end of the contiguous blank block.
         while y + 1 <= n and cur.tile(x, y + 1) == ".":
             y += 1
-        assert y + 1 <= n, "blank block touched the east border"
+        if y + 1 > n:
+            raise InvariantError("blank block touched the east border")
         neighbor = cur.tile(x, y + 1)
-        assert neighbor in ("|", "r"), (
-            f"unexpected tile {neighbor!r} east of the marked blank"
-        )
+        if neighbor not in ("|", "r"):
+            raise InvariantError(
+                f"unexpected tile {neighbor!r} east of the marked blank"
+            )
         # Scan down column y+1 for the end of the neighboring pipe's run.
-        x2 = None
         t = x + 1
         while t <= n and "NS" in _SEGMENTS[cur.tile(t, y + 1)]:
             t += 1
-        if t <= n and cur.tile(t, y + 1) in ("j",):
+        if t <= n and cur.tile(t, y + 1) == "j":
             x2 = t
             terminal = False
         else:
-            assert t == n + 1, (
-                f"column scan stopped at {(t, y + 1)} on {cur.tile(t, y + 1)!r}"
-            )
+            if t != n + 1:
+                raise InvariantError(
+                    f"column scan stopped at {(t, y + 1)} on {cur.tile(t, y + 1)!r}"
+                )
             terminal = True
             trace = cur.trace()
             positions = trace.pair_crossings.get(frozenset({y, y + 1}), ())
-            assert len(positions) == 1, (
-                f"pipes {y} and {y + 1} cross at {positions}"
-            )
+            if len(positions) != 1 or positions[0][1] != y + 1 or positions[0][0] <= x:
+                raise InvariantError(f"pipes {y} and {y + 1} cross at {positions}")
             x2 = positions[0][0]
-            assert positions[0][1] == y + 1 and x2 > x
         ed = _Editor(cur.rows)
         # Kinks: pipes crossing from column y into column y+1 inside the
         # rectangle get pushed one column east.
@@ -514,7 +517,8 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
                 z2 = z + 1
                 while "NS" in _SEGMENTS[cur.tile(z2, y)]:
                     z2 += 1
-                assert "NW" in _SEGMENTS[cur.tile(z2, y)] and z2 < x2
+                if "NW" not in _SEGMENTS[cur.tile(z2, y)] or z2 >= x2:
+                    raise InvariantError(f"kink at {(z, y)} has no turn above row {x2}")
                 ed.remove(z, y, "SE")
                 ed.remove(z, y + 1, "EW")
                 ed.add(z, y + 1, "SE")
@@ -545,9 +549,10 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
         else:
             ed.remove(x2, y + 1, "NW")
             bottom = cur.tile(x2, y)
-            assert bottom in ("-", "r"), (
-                f"unexpected tile {bottom!r} at the rectangle's far corner"
-            )
+            if bottom not in ("-", "r"):
+                raise InvariantError(
+                    f"unexpected tile {bottom!r} at the rectangle's far corner"
+                )
             if bottom == "-":
                 ed.remove(x2, y, "EW")
                 ed.add(x2, y, "NW")
@@ -561,10 +566,10 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
         footprints.append((x2, y + 1))
         x, y = x2, y + 1
     else:  # pragma: no cover
-        raise AssertionError("pop cascade did not terminate")
+        raise InvariantError("pop cascade did not terminate")
     result = cur.trim()
-    out_pi = result.validate()
-    assert out_pi == pi.left_s(a), "pop changed the permutation incorrectly"
+    if result.validate() != pi.left_s(a):
+        raise InvariantError("pop changed the permutation incorrectly")
     return PopResult(a, r, result, tuple(footprints))
 
 
@@ -582,16 +587,15 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
     trace = grown.trace()
     if trace.pair_crossings.get(frozenset({a, a + 1})):
         return None
-    def first_turn_row(pipe: int, col: int) -> Optional[int]:
+    def first_turn_row(pipe: int) -> int:
         for i, j, seg in trace.paths[pipe]:
             if seg == "SE":
-                assert j == col, f"pipe {pipe} turns outside column {col}"
+                if j != pipe:
+                    raise InvariantError(f"pipe {pipe} turns outside column {pipe}")
                 return i
-        return None
+        raise InvariantError("pipe without a turn")
 
-    x = first_turn_row(a, a)
-    x2 = first_turn_row(a + 1, a + 1)
-    assert x is not None and x2 is not None, "pipe without a turn"
+    x, x2 = first_turn_row(a), first_turn_row(a + 1)
     if x >= x2:
         return None
     try:
@@ -613,9 +617,8 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
         except MoveError:
             return None
     else:  # pragma: no cover
-        raise AssertionError("insert cascade did not terminate")
+        raise InvariantError("insert cascade did not terminate")
     try:
-        cur.validate()
         check = bpd_pop(cur)
     except (InvalidDiagramError, EmptyDiagramError):
         return None
@@ -627,24 +630,7 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
 def _reverse_terminal(g: BumplessPipeDream, a: int, x: int, x2: int) -> BumplessPipeDream:
     """Recross pipes a and a+1 at (x2, a+1) and open a blank at (x, a)."""
     ed = _Editor(g.rows)
-    for z in range(x + 1, x2):
-        if "SE" in _SEGMENTS[g.tile(z, a + 1)] and "EW" not in _SEGMENTS[
-            g.tile(z, a + 1)
-        ]:
-            _queue_reverse_kink(ed, g, z, a + 1)
-    for t in range(x + 1, x2):
-        if "NS" in _SEGMENTS[g.tile(t, a)]:
-            ed.remove(t, a, "NS")
-            ed.add(t, a + 1, "NS")
-    top = g.tile(x, a + 1)
-    if top == "-":
-        ed.remove(x, a + 1, "EW")
-        ed.add(x, a + 1, "SE")
-    elif top == "j":
-        ed.remove(x, a + 1, "NW")
-        ed.add(x, a + 1, "NS")
-    else:
-        raise MoveError(f"unexpected tile {top!r} above the recrossing")
+    _queue_reverse_shift(ed, g, x, x2, a + 1)
     if g.tile(x2, a + 1) != "r":
         raise MoveError("no turn to recross at the rectangle's corner")
     ed.remove(x2, a + 1, "SE")
@@ -656,6 +642,31 @@ def _reverse_terminal(g: BumplessPipeDream, a: int, x: int, x2: int) -> Bumpless
     ed.add(x2, a, "SE")
     ed.remove(x, a, "SE")
     return BumplessPipeDream(ed.apply())
+
+
+def _queue_reverse_shift(
+    ed: _Editor, g: BumplessPipeDream, top: int, bottom: int, d: int
+) -> None:
+    """Undo the shift of a column move between rows top and bottom: kinks of
+    column d go back west, vertical runs of column d-1 back east, and the
+    tile at (top, d) gives its turn back."""
+    corner = g.tile(top, d)
+    if corner not in ("-", "j"):
+        raise MoveError(f"unexpected tile {corner!r} at {(top, d)}")
+    for z in range(top + 1, bottom):
+        segs = _SEGMENTS[g.tile(z, d)]
+        if "SE" in segs and "EW" not in segs:
+            _queue_reverse_kink(ed, g, z, d)
+    for t in range(top + 1, bottom):
+        if "NS" in _SEGMENTS[g.tile(t, d - 1)]:
+            ed.remove(t, d - 1, "NS")
+            ed.add(t, d, "NS")
+    if corner == "-":
+        ed.remove(top, d, "EW")
+        ed.add(top, d, "SE")
+    else:
+        ed.remove(top, d, "NW")
+        ed.add(top, d, "NS")
 
 
 def _queue_reverse_kink(ed: _Editor, g: BumplessPipeDream, z: int, d: int) -> None:
@@ -689,25 +700,8 @@ def _reverse_column_move(
         x0 -= 1
     if x0 < 1 or g.tile(x0, d - 1) != "r":
         raise MoveError("no plain turn above the blank's column")
-    top = g.tile(x0, d)
-    if top not in ("-", "j"):
-        raise MoveError(f"unexpected tile {top!r} northeast of the blank")
     ed = _Editor(g.rows)
-    for z in range(x0 + 1, bx):
-        if "SE" in _SEGMENTS[g.tile(z, d)] and "EW" not in _SEGMENTS[
-            g.tile(z, d)
-        ]:
-            _queue_reverse_kink(ed, g, z, d)
-    for t in range(x0 + 1, bx):
-        if "NS" in _SEGMENTS[g.tile(t, d - 1)]:
-            ed.remove(t, d - 1, "NS")
-            ed.add(t, d, "NS")
-    if top == "-":
-        ed.remove(x0, d, "EW")
-        ed.add(x0, d, "SE")
-    else:
-        ed.remove(x0, d, "NW")
-        ed.add(x0, d, "NS")
+    _queue_reverse_shift(ed, g, x0, bx, d)
     ed.add(bx, d, "NW")
     if left == "j":
         ed.remove(bx, d - 1, "NW")

@@ -1,6 +1,10 @@
 """Tests for bumpless pipe dreams: validation, Rothe diagrams, droops,
 pop, and insert."""
 
+import ast
+import copy
+import inspect
+
 import pytest
 
 from helpers import brute_bpds, brute_grids, trace_grid, trim_grid
@@ -16,6 +20,7 @@ from pipedreams import (
     schubert_polynomial,
     symmetric_group,
 )
+from pipedreams import bumpless
 from pipedreams.poly import SparsePolynomial
 
 ORACLE_4 = brute_bpds(4)
@@ -114,6 +119,71 @@ def test_validate_rejection_messages(rows, message):
     with pytest.raises(InvalidDiagramError) as excinfo:
         BumplessPipeDream(rows).validate()
     assert str(excinfo.value) == message
+
+
+def test_validated_grid_is_traced_once(monkeypatch):
+    traced = []
+    real = BumplessPipeDream.trace
+
+    def counting(self, allow_bump=False):
+        traced.append(self.rows)
+        return real(self, allow_bump)
+
+    monkeypatch.setattr(BumplessPipeDream, "trace", counting)
+    d = BumplessPipeDream.rothe(Permutation((3, 1, 2)))
+    assert d.validate() == d.perm() == d.validate(allow_bump=True)
+    assert traced == [d.rows]
+
+
+def test_malformed_grid_raises_on_every_validate():
+    d = BumplessPipeDream(("rr", "rr"))
+    for _ in range(3):
+        with pytest.raises(InvalidDiagramError):
+            d.validate()
+
+
+def test_bump_validate_does_not_admit_a_later_plain_validate():
+    d = BumplessPipeDream((".r", "rb"))
+    assert d.validate(allow_bump=True) == d.validate(allow_bump=True)
+    for _ in range(2):
+        with pytest.raises(InvalidDiagramError, match="bump tile"):
+            d.validate()
+
+
+def test_reassigned_rows_give_the_new_permutation():
+    d = BumplessPipeDream.rothe(Permutation((2, 1)))
+    assert d.perm() == Permutation((2, 1))
+    d.rows = BumplessPipeDream.rothe(Permutation((3, 2, 1))).rows
+    assert d.perm() == Permutation((3, 2, 1))
+    d.rows = ("rr", "rr")
+    with pytest.raises(InvalidDiagramError):
+        d.perm()
+
+
+def test_validated_diagram_compares_copies_and_serialises_as_before():
+    pi = Permutation.parse("2153746")
+    checked = BumplessPipeDream.rothe(pi)
+    fresh = BumplessPipeDream.rothe(pi)
+    assert checked.validate() == pi
+    assert checked == fresh and hash(checked) == hash(fresh)
+    assert checked.to_json() == fresh.to_json()
+    assert repr(checked) == repr(fresh)
+    twin = copy.copy(checked)
+    assert twin == checked and twin.rows == checked.rows
+    assert twin.perm() == pi
+    twin.rows = BumplessPipeDream.identity(3).rows
+    assert twin.perm() == Permutation()
+    assert checked.perm() == pi
+
+
+def test_bumpless_module_has_no_assert():
+    # Invariants must raise InvariantError so that python -O keeps them.
+    tree = ast.parse(inspect.getsource(bumpless))
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.Assert), node.lineno
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            assert getattr(exc, "id", None) != "AssertionError", node.lineno
 
 
 def test_bump_tile_only_with_flag():
