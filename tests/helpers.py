@@ -56,6 +56,41 @@ def trim_word(one_line):
     return tuple(w)
 
 
+def walk_pipe_dream(crosses):
+    """Follow the pipes of a cross set through the pipe dream picture.
+
+    Pipe k enters the top of column k heading south.  A cross tile lets
+    it pass straight; every other tile is an elbow that joins its north
+    edge to its west edge and its east edge to its south edge.  The pipe
+    leaves through the west border.  Returns (cross_pipes, pair_cells):
+    the two pipes through each cross, and for each pair of pipes the
+    sorted tuple of crosses they share.
+    """
+    cells = set(crosses)
+    size = max((r + c for r, c in cells), default=1)
+    visitors = {}
+    for k in range(1, size + 1):
+        row, col, came_from = 1, k, "N"
+        while col >= 1:
+            assert row <= size, ("pipe left through the south", crosses, k)
+            if (row, col) in cells:
+                visitors.setdefault((row, col), []).append(k)
+                going = "S" if came_from == "N" else "W"
+            else:
+                going = "W" if came_from == "N" else "S"
+            if going == "S":
+                row, came_from = row + 1, "N"
+            else:
+                col, came_from = col - 1, "E"
+    cross_pipes = {}
+    pair_cells = {}
+    for cell, who in visitors.items():
+        assert len(who) == 2, (crosses, cell, who)
+        cross_pipes[cell] = frozenset(who)
+        pair_cells.setdefault(frozenset(who), []).append(cell)
+    return cross_pipes, {p: tuple(sorted(cs)) for p, cs in pair_cells.items()}
+
+
 def brute_pipe_dreams(n):
     """All reduced cross subsets of the S_n staircase, grouped by the
     trimmed one-line word of their product."""

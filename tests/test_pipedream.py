@@ -1,9 +1,17 @@
 """Tests for ordinary pipe dreams and compatible sequences."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from itertools import combinations
 
-from helpers import apply_word, brute_pipe_dreams, staircase_cells, word_of
+from hypothesis import given, seed, settings, strategies as st
+
+from helpers import (
+    apply_word,
+    brute_pipe_dreams,
+    staircase_cells,
+    walk_pipe_dream,
+    word_of,
+)
 from pipedreams import (
     CompatibleSequence,
     EmptyDiagramError,
@@ -15,6 +23,7 @@ from pipedreams import (
     enumerate_pipe_dreams,
     schubert_polynomial,
     symmetric_group,
+    trace_pipes,
 )
 
 ORACLE_4 = brute_pipe_dreams(4)
@@ -152,3 +161,29 @@ def test_pop_removes_first_cross(crosses):
     first = min(crosses, key=lambda rc: (rc[0], -rc[1]))
     assert (r, a - r + 1) == first
     assert rest.crosses == frozenset(crosses) - {first}
+
+
+def assert_trace_matches_walk(crosses):
+    tr = trace_pipes(crosses)
+    cross_pipes, pair_cells = walk_pipe_dream(crosses)
+    assert tr.cross_pipes == cross_pipes
+    assert tr.pair_crossings == pair_cells
+
+
+def test_trace_matches_walk_on_every_s5_subset():
+    cells = staircase_cells(5)
+    subsets = [
+        frozenset(chosen)
+        for k in range(len(cells) + 1)
+        for chosen in combinations(cells, k)
+    ]
+    assert len(subsets) == 1024
+    for crosses in subsets:
+        assert_trace_matches_walk(crosses)
+
+
+@seed(8)
+@settings(max_examples=300)
+@given(st.frozensets(st.sampled_from(staircase_cells(8))))
+def test_trace_matches_walk_on_s8_subsets(crosses):
+    assert_trace_matches_walk(crosses)
