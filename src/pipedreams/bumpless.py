@@ -105,13 +105,13 @@ class _Editor:
 
 
 class BpdTrace:
-    """The permutation, paths and crossings of all pipes of a diagram."""
+    """The permutation of a diagram, the pipe on each segment, and where
+    each pair of pipes crosses."""
 
-    __slots__ = ("perm", "paths", "strand", "pair_crossings")
+    __slots__ = ("perm", "strand", "pair_crossings")
 
-    def __init__(self, perm, paths, strand, pair_crossings):
+    def __init__(self, perm, strand, pair_crossings):
         self.perm = perm
-        self.paths = paths
         self.strand = strand
         self.pair_crossings = pair_crossings
 
@@ -256,12 +256,10 @@ class BumplessPipeDream:
                             f"mismatched edge between {(i, j)} and {(i + di, j + dj)}"
                         )
         word = [0] * n  # word[row - 1] is the pipe leaving through that row
-        paths: dict[int, list[tuple[int, int, str]]] = {}
         strand: dict[tuple[int, int, str], int] = {}
         for k in range(1, n + 1):
             i, j = n, k
             entering = "S"
-            paths[k] = path = []
             for _ in range(2 * n * n + 2):
                 t = rows[i - 1][j - 1]
                 step = _STEP.get((t, entering))
@@ -270,9 +268,7 @@ class BumplessPipeDream:
                         f"pipe meets tile {t!r} at {(i, j)} with no {entering} edge"
                     )
                 seg, out = step
-                key = (i, j, seg)
-                path.append(key)
-                strand[key] = k
+                strand[(i, j, seg)] = k
                 if out == "N":
                     i -= 1
                     entering = "S"
@@ -308,7 +304,6 @@ class BumplessPipeDream:
                     pair_crossings.setdefault(pair, []).append((i, j))
         return BpdTrace(
             Permutation(word),
-            paths,
             strand,
             {p: tuple(sorted(v)) for p, v in pair_crossings.items()},
         )
@@ -435,6 +430,10 @@ class BumplessPipeDream:
         tiles = data["tiles"]
         if len(tiles) != data.get("n", len(tiles)):
             raise ValueError("tile grid does not match declared size")
+        for row in tiles:
+            for tile in row:
+                if not isinstance(tile, str) or len(tile) != 1:
+                    raise ValueError(f"a tile must be one letter, not {tile!r}")
         return cls("".join(row) for row in tiles)
 
 
@@ -581,19 +580,20 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
     """
     if a < 1 or r < 1:
         raise ValueError("a and r must be positive")
-    diagram.validate()
+    # The grid is reduced, so pipes a and a+1 cross iff a is a left descent.
+    if a in diagram.validate().left_descents():
+        return None
     grown = diagram.grow_to(max(diagram.n, a + 1))
     n = grown.n
-    trace = grown.trace()
-    if trace.pair_crossings.get(frozenset({a, a + 1})):
-        return None
+
     def first_turn_row(pipe: int) -> int:
-        for i, j, seg in trace.paths[pipe]:
-            if seg == "SE":
-                if j != pipe:
-                    raise InvariantError(f"pipe {pipe} turns outside column {pipe}")
-                return i
-        raise InvariantError("pipe without a turn")
+        """Pipe k runs north up column k over '|' and '+' to its first turn."""
+        i = n
+        while i >= 1 and grown.tile(i, pipe) in "|+":
+            i -= 1
+        if i < 1 or grown.tile(i, pipe) != "r":
+            raise InvariantError(f"pipe {pipe} has no turn in column {pipe}")
+        return i
 
     x, x2 = first_turn_row(a), first_turn_row(a + 1)
     if x >= x2:

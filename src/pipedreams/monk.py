@@ -221,10 +221,11 @@ def _bpd_cascade(
         t = cur.tile(*corner)
         trace = cur.trace(allow_bump=True)
         if t == "j":
+            row = corner[0]
             turns = [
-                (i, j)
-                for i, j, seg in trace.paths[tracked]
-                if seg == "SE" and i == corner[0]
+                (row, j)
+                for j in range(1, cur.n + 1)
+                if trace.strand.get((row, j, "SE")) == tracked
             ]
             if len(turns) != 1:
                 raise InvariantError(

@@ -12,6 +12,8 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .errors import InvariantError
+
 
 class Permutation:
     """An element of S-infinity as a trimmed one-line word.
@@ -180,7 +182,7 @@ def monk_covers(pi: Permutation, alpha: int) -> tuple[tuple[int, ...], tuple[int
         l for l in range(alpha + 1, n + 2) if is_bruhat_cover(pi, alpha, l)
     )
     if not right:
-        raise AssertionError("right Monk covers cannot be empty in S-infinity")
+        raise InvariantError("right Monk covers cannot be empty in S-infinity")
     return left, right
 
 

@@ -93,11 +93,14 @@ class PipeDream:
     __slots__ = ("crosses",)
 
     def __init__(self, crosses: Iterable[tuple[int, int]] = ()):
-        cs = frozenset((int(r), int(c)) for r, c in crosses)
-        for r, c in cs:
+        cs = []
+        for r, c in crosses:
+            if type(r) is not int or type(c) is not int:
+                raise TypeError(f"cross coordinates must be integers: {(r, c)!r}")
             if r < 1 or c < 1:
                 raise ValueError(f"cross out of the positive quadrant: {(r, c)}")
-        self.crosses = cs
+            cs.append((r, c))
+        self.crosses = frozenset(cs)
 
     def sorted_crosses(self) -> list[tuple[int, int]]:
         return sorted(self.crosses, key=grid_key)
@@ -174,7 +177,7 @@ class PipeDream:
 
 
 class PipeDreamTrace:
-    """Geometric trace of the pipes of a cross set.
+    """The two pipes at each cross of a cross set.
 
     Pipes are labeled by the column where they enter at the top of the grid;
     they travel south and west through crosses (straight) and elbows (turns)
@@ -188,47 +191,26 @@ class PipeDreamTrace:
         self.pair_crossings = pair_crossings
 
 
-def trace_pipes(crosses: Iterable[tuple[int, int]], n: int | None = None) -> PipeDreamTrace:
-    """Follow every pipe of the cross set through an n x n window.
+def trace_pipes(crosses: Iterable[tuple[int, int]]) -> PipeDreamTrace:
+    """Read which two pipes meet at each cross off the reading word.
 
-    Works for non-reduced sets too; pair_crossings records where each pair
-    of pipes crosses, so double crossings are visible to callers.
+    The word is multiplied left to right in the grid order, with at[p] the
+    pipe at position p; the cross of letter a is where the pipes then at
+    positions a and a+1 meet and swap.  Works for non-reduced sets too;
+    pair_crossings records where each pair of pipes crosses, so double
+    crossings are visible to callers.
     """
-    cs = frozenset(crosses)
-    needed = max((r + c for r, c in cs), default=1)
-    if n is None:
-        n = needed
-    if n < needed:
-        raise ValueError(f"window {n} too small for crosses up to {needed}")
-    cross_pipes: dict[tuple[int, int], list[int]] = {}
-    for start in range(1, n + 1):
-        i, j = 1, start
-        heading = "S"
-        for _ in range(4 * n * n):
-            if (i, j) in cs:
-                cross_pipes.setdefault((i, j), []).append(start)
-                if heading == "S":
-                    i += 1
-                else:
-                    j -= 1
-            else:
-                if heading == "S":
-                    heading = "W"
-                    j -= 1
-                else:
-                    heading = "S"
-                    i += 1
-            if j == 0:
-                break
-            assert i <= n, "pipe escaped through the south border"
-        else:  # pragma: no cover
-            raise AssertionError("pipe trace did not terminate")
+    ordered = sorted(frozenset(crosses), key=grid_key)
+    at = list(range(max((r + c for r, c in ordered), default=1) + 1))
+    cross_pipes: dict[tuple[int, int], frozenset[int]] = {}
     pair_crossings: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for pos, pipes in cross_pipes.items():
-        assert len(pipes) == 2, f"cross {pos} not traversed by two pipes"
-        pair_crossings.setdefault(frozenset(pipes), []).append(pos)
+    for r, c in ordered:
+        a = r + c - 1
+        pair = cross_pipes[(r, c)] = frozenset((at[a], at[a + 1]))
+        pair_crossings.setdefault(pair, []).append((r, c))
+        at[a], at[a + 1] = at[a + 1], at[a]
     return PipeDreamTrace(
-        {pos: frozenset(p) for pos, p in cross_pipes.items()},
+        cross_pipes,
         {pair: tuple(sorted(ps)) for pair, ps in pair_crossings.items()},
     )
 

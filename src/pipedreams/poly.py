@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping
 
+from .errors import InvariantError
 from .perm import Permutation, one_reduced_word
 
 
@@ -172,7 +173,8 @@ def divided_difference(f: SparsePolynomial, i: int) -> SparsePolynomial:
     result = SparsePolynomial(out)
     xi = SparsePolynomial.variable(i)
     xj = SparsePolynomial.variable(i + 1)
-    assert result * (xi - xj) == f - f.swap_vars(i), "divided difference not exact"
+    if result * (xi - xj) != f - f.swap_vars(i):
+        raise InvariantError("divided difference not exact")
     return result
 
 

@@ -3,9 +3,11 @@ pop, and insert."""
 
 import ast
 import copy
-import inspect
+from pathlib import Path
 
 import pytest
+
+import pipedreams
 
 from helpers import brute_bpds, brute_grids, trace_grid, trim_grid
 from pipedreams import (
@@ -17,10 +19,11 @@ from pipedreams import (
     bpd_insert,
     bpd_pop,
     enumerate_bpds,
+    enumerate_pipe_dreams,
+    phi_inverse,
     schubert_polynomial,
     symmetric_group,
 )
-from pipedreams import bumpless
 from pipedreams.poly import SparsePolynomial
 
 ORACLE_4 = brute_bpds(4)
@@ -121,18 +124,32 @@ def test_validate_rejection_messages(rows, message):
     assert str(excinfo.value) == message
 
 
-def test_validated_grid_is_traced_once(monkeypatch):
-    traced = []
+@pytest.fixture
+def traced(monkeypatch):
+    """The rows of every grid BumplessPipeDream.trace is called on."""
+    calls = []
     real = BumplessPipeDream.trace
 
     def counting(self, allow_bump=False):
-        traced.append(self.rows)
+        calls.append(self.rows)
         return real(self, allow_bump)
 
     monkeypatch.setattr(BumplessPipeDream, "trace", counting)
+    return calls
+
+
+def test_validated_grid_is_traced_once(traced):
     d = BumplessPipeDream.rothe(Permutation((3, 1, 2)))
     assert d.validate() == d.perm() == d.validate(allow_bump=True)
     assert traced == [d.rows]
+
+
+def test_phi_inverse_traces_at_most_four_grids_per_insertion(traced):
+    pi = Permutation.parse("2153746")
+    for d in enumerate_pipe_dreams(pi):
+        traced.clear()
+        phi_inverse(d)
+        assert len(traced) <= 4 * pi.length(), d
 
 
 def test_malformed_grid_raises_on_every_validate():
@@ -176,9 +193,14 @@ def test_validated_diagram_compares_copies_and_serialises_as_before():
     assert checked.perm() == pi
 
 
-def test_bumpless_module_has_no_assert():
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(pipedreams.__file__).parent.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_module_has_no_assert(path):
     # Invariants must raise InvariantError so that python -O keeps them.
-    tree = ast.parse(inspect.getsource(bumpless))
+    tree = ast.parse(path.read_text())
     for node in ast.walk(tree):
         assert not isinstance(node, ast.Assert), node.lineno
         if isinstance(node, ast.Raise) and node.exc is not None:

@@ -210,7 +210,18 @@ def test_missing_file(capsys):
     assert run(capsys, "pop", "/nonexistent/diagram.json")[0] == 2
 
 
-@pytest.mark.parametrize("payload", ["[1, 2]", '"x"', "null"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "[1, 2]",
+        '"x"',
+        "null",
+        # Coordinates that are not integers, and tiles that are not one
+        # letter, are rejected rather than coerced or joined.
+        '{"model": "pd", "crosses": [[1.9, 1], ["2", "1"]]}',
+        '{"model": "bpd", "n": 2, "tiles": [[".r", ""], ["r+"]]}',
+    ],
+)
 @pytest.mark.parametrize(
     "argv",
     [["render"], ["pop"], ["monk", "x", "--alpha", "1"], ["phi"]],
