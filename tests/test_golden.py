@@ -7,6 +7,7 @@ current code, for use only when such a change is intended.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -98,6 +99,21 @@ def test_golden_covers_every_case(golden):
 def test_cli_golden(name, golden, tmp_path, capsys):
     got = run_case(name, str(tmp_path), lambda: capsys.readouterr().out)
     assert got == golden[name]
+
+
+# sha256 of the stdout of ``pipedreams enum WORD --model pd`` for the two
+# anchor permutations; the outputs run to 22 kB and 926 kB.
+ENUM_PD_SHA256 = {
+    "2153746": "a1d8365e89bad79e488a88d1fe83c85ca8d93b480a4da20b6feeb726bc4f3ad6",
+    "21786534": "2f3172cff1a194fb3a0bd59c92947cbd1658b15f7127892881acf53812da1def",
+}
+
+
+@pytest.mark.parametrize("word", sorted(ENUM_PD_SHA256))
+def test_enum_pd_anchor_sha256(word, capsys):
+    assert main(["enum", word, "--model", "pd"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == ENUM_PD_SHA256[word]
 
 
 RUN_CHECKS_S4_SEED_0 = {

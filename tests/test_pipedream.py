@@ -88,6 +88,22 @@ def test_enumeration_matches_brute_force(pi):
     assert lib == ORACLE_4.get(pi.word, set())
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [5, 6])
+def test_enumeration_matches_brute_force_s5_s6(n):
+    oracle = brute_pipe_dreams(n)
+    for pi in symmetric_group(n):
+        got = {frozenset(d.crosses) for d in enumerate_pipe_dreams(pi)}
+        assert got == oracle.get(pi.word, set()), pi
+
+
+def test_long_simple_transposition_has_one_diagram_per_row():
+    s60 = Permutation.identity().right_s(60)
+    assert s60.size == 61 and s60.length() == 1
+    expected = {PipeDream([(r, 61 - r)]) for r in range(1, 61)}
+    assert enumerate_pipe_dreams(s60) == expected
+
+
 @pytest.mark.parametrize("pi", list(symmetric_group(4)))
 def test_weights_sum_to_schubert(pi):
     total = sum(
