@@ -55,7 +55,7 @@ from .poly import (
     schubert_polynomial,
     staircase_monomial,
 )
-from .render import render, parse_bpd, parse_pipe_dream
+from .render import render
 from .verify import (
     AuditReport,
     bruhat_covers,
@@ -102,8 +102,6 @@ __all__ = [
     "lemma_case_audit",
     "monk_covers",
     "one_reduced_word",
-    "parse_bpd",
-    "parse_pipe_dream",
     "pd_m_move",
     "pd_x_insert",
     "phi",

@@ -366,43 +366,13 @@ class BumplessPipeDream:
         for t in range(a + 1, c):
             ed.add(t, d, "NS")
         ed.add(c, d, "NW")
-        return self._moved(ed, "droop")
-
-    def undroop(self, corner: tuple[int, int], dest: tuple[int, int]) -> "BumplessPipeDream":
-        """Inverse of droop: corner is the 'j' tile, dest the blank northwest."""
-        (c, d), (a, b) = corner, dest
-        if not (c > a and d > b):
-            raise MoveError("destination must be strictly northwest of corner")
-        if self.tile(c, d) != "j":
-            raise MoveError(f"no turn to undroop at {(c, d)}")
-        if self.tile(a, b) != ".":
-            raise MoveError(f"destination {(a, b)} is not blank")
-        ed = _Editor(self.rows)
-        ed.remove(c, d, "NW")
-        for t in range(a + 1, c):
-            ed.remove(t, d, "NS")
-        for j in range(b + 1, d):
-            ed.remove(c, j, "EW")
-        ed.remove(c, b, "SE")
-        ed.add(c, b, "NS")
-        ed.remove(a, d, "SE")
-        ed.add(a, d, "EW")
-        for j in range(b + 1, d):
-            ed.add(a, j, "EW")
-        for t in range(a + 1, c):
-            ed.add(t, b, "NS")
-        ed.add(a, b, "SE")
-        return self._moved(ed, "undroop")
-
-    def _moved(self, ed: _Editor, move: str) -> "BumplessPipeDream":
-        """The diagram ed makes of self; it must keep self's permutation."""
         result = BumplessPipeDream(ed.apply())
         try:
             new_pi = result.validate()
         except InvalidDiagramError as exc:
-            raise MoveError(f"{move} breaks the diagram: {exc}") from exc
+            raise MoveError(f"droop breaks the diagram: {exc}") from exc
         if new_pi != self.validate():
-            raise MoveError(f"{move} changed the permutation")
+            raise MoveError("droop changed the permutation")
         return result
 
     def __eq__(self, other) -> bool:

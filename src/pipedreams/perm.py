@@ -9,7 +9,6 @@ matter which finite symmetric group it came from.  Composition is functional:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import InvariantError
@@ -211,20 +210,22 @@ def multiply_word(word: Iterable[int]) -> tuple[Permutation, bool]:
     return Permutation(w), reduced
 
 
-@lru_cache(maxsize=None)
 def reduced_words(pi: Permutation) -> frozenset[tuple[int, ...]]:
     """All reduced words of pi, peeling right descents recursively.
 
     A word (a_1, ..., a_l) multiplies to pi left to right:
-    pi == s_{a_1} s_{a_2} ... s_{a_l}.
+    pi == s_{a_1} s_{a_2} ... s_{a_l}.  The memo lives for one call.
     """
-    if pi.is_identity():
-        return frozenset({()})
-    out = set()
-    for i in pi.right_descents():
-        for w in reduced_words(pi.right_s(i)):
-            out.add(w + (i,))
-    return frozenset(out)
+    memo = {Permutation(): frozenset({()})}
+
+    def words(u: Permutation) -> frozenset[tuple[int, ...]]:
+        if u not in memo:
+            memo[u] = frozenset(
+                w + (i,) for i in u.right_descents() for w in words(u.right_s(i))
+            )
+        return memo[u]
+
+    return words(pi)
 
 
 def one_reduced_word(pi: Permutation) -> tuple[int, ...]:

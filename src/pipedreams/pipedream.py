@@ -12,8 +12,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import EmptyDiagramError, InvalidDiagramError, InvalidSequenceError
-from .perm import Permutation, multiply_word, reduced_words
+from .errors import (
+    EmptyDiagramError,
+    InvalidDiagramError,
+    InvalidSequenceError,
+    InvariantError,
+)
+from .perm import Permutation, multiply_word
 from .poly import SparsePolynomial
 
 
@@ -138,10 +143,6 @@ class PipeDream:
         self.perm()
         return CompatibleSequence(self.word(), self.rows())
 
-    @classmethod
-    def from_compatible(cls, cs: CompatibleSequence) -> "PipeDream":
-        return cs.to_pipe_dream()
-
     def pop(self) -> tuple[tuple[int, int], "PipeDream"]:
         """Remove the first cross in the grid order.
 
@@ -215,28 +216,46 @@ def trace_pipes(crosses: Iterable[tuple[int, int]]) -> PipeDreamTrace:
     )
 
 
-def _compatible_rows(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All row sequences r making (word, r) a compatible pair."""
-
-    def rec(k: int, prev: int) -> Iterator[tuple[int, ...]]:
-        if k == len(word):
-            yield ()
-            return
-        lo = prev
-        if k > 0 and word[k - 1] < word[k]:
-            lo = prev + 1
-        for r in range(lo, word[k] + 1):
-            for rest in rec(k + 1, r):
-                yield (r,) + rest
-
-    yield from rec(0, 1)
-
-
 def iter_pipe_dreams(pi: Permutation) -> Iterator[PipeDream]:
-    """Lazily generate the reduced pipe dreams of pi via compatible sequences."""
-    for word in sorted(reduced_words(pi)):
-        for rows in _compatible_rows(word):
-            yield CompatibleSequence(word, rows).to_pipe_dream()
+    """Lazily generate the reduced pipe dreams of pi in one staircase walk.
+
+    Row r of the staircase r + c <= n reads a strictly decreasing run of
+    letters a in [r, n - 1], the cross (r, a - r + 1) standing for s_a.  A
+    letter is placed only if it is a left descent of the part u of pi not
+    yet read, which then becomes s_a u; where[v] is the position of v in u.
+    Row r may end only once u fixes r, since later rows read letters above
+    r.  Diagrams come row by row, each row's letters decreasing.
+    """
+    n = max(pi.size, 1)
+    length = pi.length()
+    where = list(range(n + 1))
+    for pos, v in enumerate(pi.word, start=1):
+        where[v] = pos
+    read: list[tuple[int, int]] = []
+    # (row, bound, depth): the first depth letters of read are placed, and
+    # the next letter of the row is below bound.
+    stack = [(1, n, 0)]
+    while stack:
+        r, a, depth = stack.pop()
+        while len(read) > depth:
+            _, b = read.pop()
+            where[b], where[b + 1] = where[b + 1], where[b]
+        if depth == length:
+            if where != list(range(n + 1)):
+                word = tuple(b for _, b in read)
+                raise InvariantError(f"walk read {word}, not a reduced word of {pi}")
+            yield PipeDream((i, b - i + 1) for i, b in read)
+            continue
+        a -= 1
+        while a >= r and where[a] < where[a + 1]:
+            a -= 1
+        if a >= r:
+            stack.append((r, a, depth))
+            where[a], where[a + 1] = where[a + 1], where[a]
+            read.append((r, a))
+            stack.append((r, a, depth + 1))
+        elif where[r] == r and r + 1 < n:
+            stack.append((r + 1, n, depth))
 
 
 def enumerate_pipe_dreams(pi: Permutation) -> frozenset[PipeDream]:

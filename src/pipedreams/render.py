@@ -2,7 +2,7 @@
 
 Ordinary pipe dreams are drawn as a staircase with '+' for crosses and '.'
 for elbows.  Bumpless diagrams are drawn with their tile letters, or with
-box-drawing glyphs in pretty mode.  Both drawings parse back losslessly.
+box-drawing glyphs in pretty mode.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ _BPD_PRETTY = {
     "+": "┼",
     "b": "≀",
 }
-_BPD_UNPRETTY = {v: k for k, v in _BPD_PRETTY.items()}
-
-_PD_CROSS = {"+", "┼"}
-_PD_ELBOW = {".", "·"}
 
 
 def render_pipe_dream(diagram: PipeDream, pretty: bool = False) -> str:
@@ -49,17 +45,6 @@ def render_pipe_dream(diagram: PipeDream, pretty: bool = False) -> str:
     return "\n".join(lines)
 
 
-def parse_pipe_dream(text: str) -> PipeDream:
-    crosses = []
-    for i, line in enumerate(text.strip("\n").splitlines(), start=1):
-        for j, ch in enumerate(line.strip(), start=1):
-            if ch in _PD_CROSS:
-                crosses.append((i, j))
-            elif ch not in _PD_ELBOW:
-                raise ValueError(f"unexpected character {ch!r} in drawing")
-    return PipeDream(crosses)
-
-
 def render_bpd(diagram: BumplessPipeDream, pretty: bool = False) -> str:
     """Draw the tile grid, one row per line.
 
@@ -72,14 +57,6 @@ def render_bpd(diagram: BumplessPipeDream, pretty: bool = False) -> str:
             "".join(_BPD_PRETTY[ch] for ch in row) for row in diagram.rows
         )
     return "\n".join(diagram.rows)
-
-
-def parse_bpd(text: str) -> BumplessPipeDream:
-    rows = []
-    for line in text.strip("\n").splitlines():
-        line = line.strip()
-        rows.append("".join(_BPD_UNPRETTY.get(ch, ch) for ch in line))
-    return BumplessPipeDream(rows)
 
 
 def render(diagram, pretty: bool = False) -> str:

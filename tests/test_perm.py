@@ -1,5 +1,7 @@
 """Tests for the permutation layer."""
 
+import gc
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -110,6 +112,22 @@ def test_reduced_words_multiply_back(pi):
             cur = nxt
         assert cur == pi
     assert one_reduced_word(pi) in reduced_words(pi)
+
+
+def test_reduced_words_retains_nothing_between_calls():
+    pi = Permutation.longest(5)
+    reduced_words(Permutation((2, 1)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(reduced_words(pi)) == 768
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096
+    assert reduced_words(pi) is not reduced_words(pi)
 
 
 def test_symmetric_group_sizes():

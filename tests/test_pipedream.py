@@ -21,6 +21,7 @@ from pipedreams import (
     PipeDream,
     SparsePolynomial,
     enumerate_pipe_dreams,
+    iter_pipe_dreams,
     schubert_polynomial,
     symmetric_group,
     trace_pipes,
@@ -104,6 +105,18 @@ def test_long_simple_transposition_has_one_diagram_per_row():
     assert enumerate_pipe_dreams(s60) == expected
 
 
+@seed(7)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([7, 8]).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_enumeration_on_s7_s8_sums_to_schubert(word):
+    pi = Permutation(word)
+    diagrams = list(iter_pipe_dreams(pi))
+    assert len(set(diagrams)) == len(diagrams)
+    assert all(d.perm() == pi for d in diagrams)
+    total = sum((d.weight() for d in diagrams), start=SparsePolynomial({}))
+    assert total == schubert_polynomial(pi)
+
+
 @pytest.mark.parametrize("pi", list(symmetric_group(4)))
 def test_weights_sum_to_schubert(pi):
     total = sum(
@@ -119,7 +132,6 @@ def test_compatible_sequence_roundtrip(pi):
         seq = d.to_compatible()
         seq.validate()
         assert seq.permutation() == pi
-        assert PipeDream.from_compatible(seq) == d
         assert seq.to_pipe_dream() == d
 
 
