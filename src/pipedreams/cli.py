@@ -23,6 +23,9 @@ from .render import render
 from .verify import CHECK_GROUPS, MODELS, model_of, run_checks
 
 _DEFAULT_MAX_GROUP = 4
+# Grids grow with a move's arguments and with a pd cross's diagonal
+# r + c - 1, so time and output would grow without bound above this.
+_MAX_COORD = 64
 
 
 def _max_group() -> int:
@@ -31,6 +34,11 @@ def _max_group() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"SCHUBERT_MAX_N is not an integer: {raw!r}") from exc
+
+
+def _check_bound(what: str, value: int | None) -> None:
+    if value is not None and value > _MAX_COORD:
+        raise ValueError(f"{what} = {value} exceeds the bound {_MAX_COORD}")
 
 
 def _read_json(path: str) -> dict:
@@ -50,7 +58,10 @@ def _parse_diagram(data):
     model = data.get("model")
     if not isinstance(model, str) or model not in MODELS:
         raise ValueError(f"unknown diagram model {model!r}")
-    return MODELS[model].cls.from_json(data)
+    diagram = MODELS[model].cls.from_json(data)
+    for r, c in getattr(diagram, "crosses", ()):
+        _check_bound(f"r + c - 1 of the cross {[r, c]}", r + c - 1)
+    return diagram
 
 
 def _emit(payload) -> None:
@@ -283,6 +294,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for option in ("a", "r", "alpha", "s", "beta"):
+            _check_bound("--" + option, getattr(args, option, None))
         return args.func(args)
     except (
         ValueError,

@@ -140,12 +140,6 @@ class Permutation:
             for i in range(len(w))
         )
 
-    def embed(self, n: int) -> "Permutation":
-        """The image of pi in S_n.  Trimming makes this the identity on the data."""
-        if n < self.size:
-            raise ValueError(f"cannot embed support {self.size} into S_{n}")
-        return self
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.word == other.word
 

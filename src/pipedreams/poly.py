@@ -8,7 +8,6 @@ staircase monomial of the longest element.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import InvariantError
@@ -185,16 +184,6 @@ def staircase_monomial(n: int) -> SparsePolynomial:
     return SparsePolynomial.monomial(tuple(range(n - 1, 0, -1)))
 
 
-@lru_cache(maxsize=None)
-def _schubert_cached(pi: Permutation, n: int) -> SparsePolynomial:
-    top = staircase_monomial(n)
-    word = one_reduced_word(pi.inverse() * Permutation.longest(n))
-    f = top
-    for i in reversed(word):
-        f = divided_difference(f, i)
-    return f
-
-
 def schubert_polynomial(pi: Permutation, ambient: int | None = None) -> SparsePolynomial:
     """The Schubert polynomial of pi via divided differences.
 
@@ -209,7 +198,10 @@ def schubert_polynomial(pi: Permutation, ambient: int | None = None) -> SparsePo
     n = max(pi.size, 1) if ambient is None else ambient
     if n < pi.size:
         raise ValueError(f"ambient S_{n} too small for support {pi.size}")
-    return _schubert_cached(pi, n)
+    f = staircase_monomial(n)
+    for i in reversed(one_reduced_word(pi.inverse() * Permutation.longest(n))):
+        f = divided_difference(f, i)
+    return f
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .bijection import phi, phi_inverse
@@ -48,6 +49,10 @@ class Model(NamedTuple):
     x: Callable
     m: Callable
 
+    def apply(self, d, move):
+        """The move ("x", alpha) or ("m", s, beta) on d."""
+        return getattr(self, move[0])(d, *move[1:])
+
 
 def _pd_pop(d: PipeDream) -> PopResult:
     (a, r), rest = d.pop()
@@ -84,37 +89,79 @@ def model_of(diagram) -> Model:
     raise TypeError(f"not a diagram: {diagram!r}")
 
 
+class Atlas:
+    """One call's memos: diagrams(model, pi), schubert(pi, ambient) and
+    image(b), phi of an enumerated grid keyed by its rows (all phi reads).
+    They call this module's names, which profilers and tests may rebind."""
+
+    def __init__(self):
+        self.diagrams = cache(lambda model, pi: MODELS[model].enumerate(pi))
+        self.schubert = cache(lambda pi, ambient=None: schubert_polynomial(pi, ambient))
+        self.images = {}
+
+    def image(self, b: BumplessPipeDream):
+        if b.rows not in self.images:
+            self.images[b.rows] = phi(b)
+        return self.images[b.rows]
+
+    def monk_identity(self, pi: Permutation, alpha: int) -> bool:
+        left, right = monk_covers(pi, alpha)
+        lhs = SparsePolynomial.variable(alpha) * self.schubert(pi)
+        for s in left:
+            lhs = lhs + self.schubert(pi.right_t(s, alpha))
+        rhs = SparsePolynomial.zero()
+        for l in right:
+            rhs = rhs + self.schubert(pi.right_t(alpha, l))
+        return lhs == rhs
+
+    def commutes(self, base: Permutation, move) -> bool:
+        for b in self.diagrams("bpd", base):
+            via_bpd = phi(MODELS["bpd"].apply(b, move)[0]).pipe_dream()
+            via_pd = MODELS["pd"].apply(self.image(b).pipe_dream(), move)[0]
+            if via_bpd != via_pd:
+                return False
+        return True
+
+    def partitions(self, pi: Permutation, alpha: int, model: str) -> bool:
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
+        ops = MODELS[model]
+        left, right = monk_covers(pi, alpha)
+        produced: Counter = Counter()
+        for d in self.diagrams(model, pi):
+            produced[ops.x(d, alpha)[0]] += 1
+        for s in left:
+            for d in self.diagrams(model, pi.right_t(s, alpha)):
+                produced[ops.m(d, s, alpha)[0]] += 1
+        expected: Counter = Counter()
+        for l in right:
+            for d in self.diagrams(model, pi.right_t(alpha, l)):
+                expected[d] += 1
+        return produced == expected
+
+
+def _moves(n: int):
+    """(pi, base, move, label) for each Monk move the checks make over S_n."""
+    for pi in symmetric_group(n):
+        for alpha in range(1, n + 1):
+            yield pi, pi, ("x", alpha), f"alpha={alpha}"
+        for s, beta in bruhat_covers(pi, n + 1):
+            yield pi, pi.right_t(s, beta), ("m", s, beta), f"({s},{beta})"
+
+
 def verify_monk_poly(pi: Permutation, alpha: int) -> bool:
     """x_alpha * S_pi + sum of lower cover terms equals the upper cover sum."""
-    left, right = monk_covers(pi, alpha)
-    lhs = SparsePolynomial.variable(alpha) * schubert_polynomial(pi)
-    for s in left:
-        lhs = lhs + schubert_polynomial(pi.right_t(s, alpha))
-    rhs = SparsePolynomial.zero()
-    for l in right:
-        rhs = rhs + schubert_polynomial(pi.right_t(alpha, l))
-    return lhs == rhs
+    return Atlas().monk_identity(pi, alpha)
 
 
 def verify_monk_commutation(pi: Permutation, alpha: int) -> bool:
     """phi intertwines the two x_alpha moves pointwise on diagrams of pi."""
-    for b in enumerate_bpds(pi):
-        via_bpd = phi(bpd_x_insert(b, alpha)[0]).pipe_dream()
-        via_pd = pd_x_insert(phi(b).pipe_dream(), alpha)[0]
-        if via_bpd != via_pd:
-            return False
-    return True
+    return Atlas().commutes(pi, ("x", alpha))
 
 
 def verify_monk_commutation_m(pi: Permutation, s: int, beta: int) -> bool:
     """phi intertwines the two m_{s,beta} moves on diagrams of pi t_{s,beta}."""
-    sigma = pi.right_t(s, beta)
-    for b in enumerate_bpds(sigma):
-        via_bpd = phi(bpd_m_move(b, s, beta)[0]).pipe_dream()
-        via_pd = pd_m_move(phi(b).pipe_dream(), s, beta)[0]
-        if via_bpd != via_pd:
-            return False
-    return True
+    return Atlas().commutes(pi.right_t(s, beta), ("m", s, beta))
 
 
 def bruhat_covers(pi: Permutation, bound: int | None = None) -> list[tuple[int, int]]:
@@ -131,21 +178,7 @@ def bruhat_covers(pi: Permutation, bound: int | None = None) -> list[tuple[int, 
 
 def verify_partition(pi: Permutation, alpha: int, model: str) -> bool:
     """The move images partition the diagrams of the upper covers exactly."""
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    ops = MODELS[model]
-    left, right = monk_covers(pi, alpha)
-    produced: Counter = Counter()
-    for d in ops.enumerate(pi):
-        produced[ops.x(d, alpha)[0]] += 1
-    for s in left:
-        for d in ops.enumerate(pi.right_t(s, alpha)):
-            produced[ops.m(d, s, alpha)[0]] += 1
-    expected: Counter = Counter()
-    for l in right:
-        for d in ops.enumerate(pi.right_t(alpha, l)):
-            expected[d] += 1
-    return produced == expected
+    return Atlas().partitions(pi, alpha, model)
 
 
 class AuditReport:
@@ -160,9 +193,6 @@ class AuditReport:
 
     def passed(self) -> bool:
         return all(status != "fail" for _, status, _ in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if c[1] == "fail"]
 
     def __repr__(self) -> str:
         return f"AuditReport({self.model}, {self.case}, {self.checks!r})"
@@ -195,14 +225,13 @@ def lemma_case_audit(diagram, move) -> AuditReport:
         pi = sigma.right_t(s, beta)
         if not (s < beta and pi.length() == sigma.length() - 1):
             raise ValueError("move is not a cover of its base")
-        moved = ops.m(diagram, s, beta)[0]
     elif move[0] == "x":
         _, alpha = move
         if diagram.perm().is_identity():
             raise ValueError("nothing to pop on an identity diagram")
-        moved = ops.x(diagram, alpha)[0]
     else:
         raise ValueError(f"unknown move {move!r}")
+    moved = ops.apply(diagram, move)[0]
     first, second = ops.pop(diagram), ops.pop(moved)
     i, r, nabla = first.a, first.r, first.result
     i2, r2, nabla_moved = second.a, second.r, second.result
@@ -264,36 +293,36 @@ def lemma_case_audit(diagram, move) -> AuditReport:
     return AuditReport(ops.name, case, checks)
 
 
-def _triple_agreement(n: int, seed) -> tuple[bool, str]:
+def _triple_agreement(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     for pi in symmetric_group(n):
-        s = schubert_polynomial(pi)
-        for ops in MODELS.values():
+        s = atlas.schubert(pi)
+        for model in MODELS:
             total = SparsePolynomial.zero()
-            for d in ops.enumerate(pi):
+            for d in atlas.diagrams(model, pi):
                 total = total + d.weight()
             if total != s:
                 return False, f"disagreement at {pi}"
     return True, f"all {len(list(symmetric_group(n)))} permutations agree"
 
 
-def _monk_poly(n: int, seed) -> tuple[bool, str]:
+def _monk_poly(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     count = 0
     for pi in symmetric_group(n):
         for alpha in range(1, n + 2):
-            if not verify_monk_poly(pi, alpha):
+            if not atlas.monk_identity(pi, alpha):
                 return False, f"failure at {pi}, alpha={alpha}"
             count += 1
     return True, f"{count} instances hold"
 
 
-def _stability(n: int, seed) -> tuple[bool, str]:
+def _stability(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     for pi in symmetric_group(n):
-        if schubert_polynomial(pi, n + 2) != schubert_polynomial(pi):
+        if atlas.schubert(pi, n + 2) != atlas.schubert(pi):
             return False, f"ambient change alters the polynomial at {pi}"
     return True, "polynomials independent of the ambient size"
 
 
-def _poly_ring(n: int, seed) -> tuple[bool, str]:
+def _poly_ring(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     rng = random.Random(seed if seed is not None else 0)
 
     def rand_poly():
@@ -316,14 +345,14 @@ def _poly_ring(n: int, seed) -> tuple[bool, str]:
     return True, "ring axioms hold on random samples"
 
 
-def _bijection(n: int, seed) -> tuple[bool, str]:
+def _bijection(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     pairs = 0
     for pi in symmetric_group(n):
-        bpds = enumerate_bpds(pi)
-        pds = enumerate_pipe_dreams(pi)
+        bpds = atlas.diagrams("bpd", pi)
+        pds = atlas.diagrams("pd", pi)
         image = {}
         for b in bpds:
-            d = phi(b).pipe_dream()
+            d = atlas.image(b).pipe_dream()
             if d in image:
                 return False, f"phi not injective at {pi}"
             if d.weight() != b.weight():
@@ -338,11 +367,11 @@ def _bijection(n: int, seed) -> tuple[bool, str]:
     return True, f"bijective on {pairs} diagrams"
 
 
-def _compatible(n: int, seed) -> tuple[bool, str]:
+def _compatible(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     count = 0
     for pi in symmetric_group(n):
-        for b in enumerate_bpds(pi):
-            seq = phi(b).sequence
+        for b in atlas.diagrams("bpd", pi):
+            seq = atlas.image(b).sequence
             try:
                 seq.validate()
             except InvalidSequenceError as exc:
@@ -353,12 +382,12 @@ def _compatible(n: int, seed) -> tuple[bool, str]:
     return True, f"{count} sequences valid"
 
 
-def _roundtrip(n: int, seed) -> tuple[bool, str]:
+def _roundtrip(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     count = 0
     for pi in symmetric_group(n):
         if pi.is_identity():
             continue
-        for b in enumerate_bpds(pi):
+        for b in atlas.diagrams("bpd", pi):
             res = bpd_pop(b)
             back = bpd_insert(res.result, res.a, res.r)
             if back != b:
@@ -367,25 +396,20 @@ def _roundtrip(n: int, seed) -> tuple[bool, str]:
     return True, f"{count} pop/insert round trips"
 
 
-def _commutation(n: int, seed) -> tuple[bool, str]:
+def _commutation(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     runs = 0
-    for pi in symmetric_group(n):
-        for alpha in range(1, n + 1):
-            if not verify_monk_commutation(pi, alpha):
-                return False, f"x move disagreement at {pi}, alpha={alpha}"
-            runs += 1
-        for s, beta in bruhat_covers(pi, n + 1):
-            if not verify_monk_commutation_m(pi, s, beta):
-                return False, f"m move disagreement at {pi}, ({s},{beta})"
-            runs += 1
+    for pi, base, move, label in _moves(n):
+        if not atlas.commutes(base, move):
+            return False, f"{move[0]} move disagreement at {pi}, {label}"
+        runs += 1
     return True, f"{runs} move families commute with phi"
 
 
-def _partition(n: int, seed) -> tuple[bool, str]:
+def _partition(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     for pi in symmetric_group(n):
         for alpha in range(1, n + 1):
             for model in MODELS:
-                if not verify_partition(pi, alpha, model):
+                if not atlas.partitions(pi, alpha, model):
                     return (
                         False,
                         f"partition fails at {pi}, alpha={alpha}, {model}",
@@ -393,43 +417,31 @@ def _partition(n: int, seed) -> tuple[bool, str]:
     return True, "images partition the upper cover diagrams"
 
 
-def _lemmas(n: int, seed) -> tuple[bool, str]:
+def _lemmas(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     audited = 0
     skipped = 0
-    for pi in symmetric_group(n):
-        moves = [] if pi.is_identity() else [
-            (pi, ("x", alpha)) for alpha in range(1, n + 1)
-        ]
-        moves += [
-            (pi.right_t(s, beta), ("m", s, beta))
-            for s, beta in bruhat_covers(pi, n + 1)
-        ]
-        for base, move in moves:
-            for ops in MODELS.values():
-                for d in ops.enumerate(base):
-                    report = lemma_case_audit(d, move)
-                    if not report.passed():
-                        return False, f"{report!r} at {pi}"
-                    audited += 1
-                    skipped += sum(
-                        1 for c in report.checks if c[1] == "skip"
-                    )
+    for pi, base, move, label in _moves(n):
+        if move[0] == "x" and pi.is_identity():
+            continue
+        for model in MODELS:
+            for d in atlas.diagrams(model, base):
+                report = lemma_case_audit(d, move)
+                if not report.passed():
+                    return False, f"{report!r} at {pi}"
+                audited += 1
+                skipped += sum(
+                    1 for c in report.checks if c[1] == "skip"
+                )
     return True, f"{audited} audits pass ({skipped} clauses skipped)"
 
 
-def _footprints(n: int, seed) -> tuple[bool, str]:
+def _footprints(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     runs = 0
-    for pi in symmetric_group(n):
-        for alpha in range(1, n + 1):
-            for d in enumerate_pipe_dreams(pi):
-                if not footprints_audit(pd_x_insert(d, alpha)[1]):
-                    return False, f"repeated footprint at {pi}, alpha={alpha}"
-                runs += 1
-        for s, beta in bruhat_covers(pi, n + 1):
-            for d in enumerate_pipe_dreams(pi.right_t(s, beta)):
-                if not footprints_audit(pd_m_move(d, s, beta)[1]):
-                    return False, f"repeated footprint at {pi}, ({s},{beta})"
-                runs += 1
+    for pi, base, move, label in _moves(n):
+        for d in atlas.diagrams("pd", base):
+            if not footprints_audit(MODELS["pd"].apply(d, move)[1]):
+                return False, f"repeated footprint at {pi}, {label}"
+            runs += 1
     return True, f"{runs} moves leave distinct footprints"
 
 
@@ -444,7 +456,7 @@ CHECK_GROUPS = {
 def run_checks(n: int, which: str = "all", seed=None) -> dict:
     """Run the named check group over the symmetric group of size n.
 
-    The check called name in CHECK_GROUPS is the function _name(n, seed).
+    The check called name in CHECK_GROUPS is _name(n, seed, atlas).
     Returns {check_name: (ok, detail)}.
     """
     if which == "all":
@@ -453,4 +465,5 @@ def run_checks(n: int, which: str = "all", seed=None) -> dict:
         names = list(CHECK_GROUPS[which])
     else:
         raise ValueError(f"unknown check group {which!r}")
-    return {name: globals()["_" + name](n, seed) for name in names}
+    atlas = Atlas()
+    return {name: globals()["_" + name](n, seed, atlas) for name in names}

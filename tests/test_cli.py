@@ -235,3 +235,37 @@ def test_non_object_payload_is_bad_input(tmp_path, capsys, argv, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+PD_11 = {"model": "pd", "crosses": [[1, 1]]}
+BPD_ID = {"model": "bpd", "n": 1, "tiles": [["r"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["insert", "--a", "65", "--r", "1"], BPD_ID),
+        (["insert", "--a", "1", "--r", "65"], BPD_ID),
+        (["monk", "x", "--alpha", "65"], PD_11),
+        (["monk", "m", "--s", "65", "--beta", "1"], PD_11),
+        (["monk", "m", "--s", "1", "--beta", "65"], PD_11),
+        (["render"], {"model": "pd", "crosses": [[1, 4000]]}),
+    ],
+    ids=["a", "r", "alpha", "s", "beta", "cross"],
+)
+def test_grid_growing_input_above_the_bound_is_bad_input(
+    tmp_path, capsys, argv, payload
+):
+    argv = list(argv)
+    argv.insert(2 if argv[0] == "monk" else 1, write_json(tmp_path, "d.json", payload))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the bound 64" in err
+
+
+def test_inputs_at_the_bound_are_accepted(tmp_path, capsys):
+    path = write_json(tmp_path, "d.json", PD_11)
+    assert run(capsys, "monk", "x", path, "--alpha", "64")[0] == 0
+    path = write_json(tmp_path, "e.json", {"model": "pd", "crosses": [[2, 63]]})
+    assert run(capsys, "render", path)[0] == 0

@@ -255,7 +255,6 @@ def test_lemma_case_audit_low_x():
     report = lemma_case_audit(d, ("x", 1))
     assert report.case == "x-low"
     assert report.passed()
-    assert report.failures() == []
 
 
 @pytest.mark.parametrize("pi", list(symmetric_group(3)))

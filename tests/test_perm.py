@@ -181,12 +181,8 @@ def test_simple_multiplication_changes_length_by_one(word, i):
     assert abs(pi.right_s(i).length() - pi.length()) == 1
 
 
-def test_embed_and_lehmer():
+def test_lehmer_code():
     pi = Permutation((3, 1, 2))
-    assert pi.embed(5) == pi
-    assert tuple(pi.embed(5)(i) for i in range(1, 6)) == (3, 1, 2, 4, 5)
-    with pytest.raises(ValueError):
-        pi.embed(2)
     assert pi.lehmer_code() == (2, 0, 0)
     assert Permutation.longest(3).lehmer_code() == (2, 1, 0)
 

@@ -1,12 +1,17 @@
-"""The verify harness: the witness a failing check reports.
+"""The verify harness: the witness a failing check reports, and the work
+one run does.
 
 A failing check's detail string is the only witness a failing run gives, so
 these tests break one pipe dream move on purpose and pin the whole result
 of the check groups that run it.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import pipedreams
 from pipedreams import verify
 
 PASSING_DIAGRAMS = {
@@ -65,3 +70,65 @@ def test_failing_move_is_named_in_the_result(monkeypatch, move, fault):
 def test_unbroken_moves_pass():
     assert verify.run_checks(3, "diagrams") == PASSING_DIAGRAMS
     assert verify.run_checks(3, "footprints") == PASSING_FOOTPRINTS
+
+
+COUNTED = ("enumerate_bpds", "enumerate_pipe_dreams", "schubert_polynomial", "phi")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the calls run_checks makes through the names verify uses."""
+    counts = dict.fromkeys(COUNTED, 0)
+    for name in COUNTED:
+        real = getattr(verify, name)
+
+        def counting(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+    return counts
+
+
+def test_each_diagram_set_and_polynomial_is_computed_once_per_run(calls):
+    verify.run_checks(3)
+    # 17 permutations reach an enumeration and 29 (pi, ambient) pairs a
+    # Schubert polynomial; phi runs once per enumerated bumpless diagram,
+    # bumpless move output and phi_inverse output.
+    assert calls == {
+        "enumerate_bpds": 17,
+        "enumerate_pipe_dreams": 17,
+        "schubert_polynomial": 29,
+        "phi": 86,
+    }
+
+
+def test_a_second_run_recomputes_everything(calls):
+    verify.run_checks(3)
+    first = dict(calls)
+    verify.run_checks(3)
+    assert calls == {name: 2 * count for name, count in first.items()}
+
+
+def _called_name(node):
+    while isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(pipedreams.__file__).parent.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_module_keeps_no_cache(path):
+    # A module-level memo outlives every call; memos belong to one call.
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            exprs = node.decorator_list
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+            exprs = [node.value]
+        else:
+            continue
+        for expr in exprs:
+            assert _called_name(expr) not in ("cache", "lru_cache"), node.lineno
