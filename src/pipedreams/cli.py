@@ -24,7 +24,7 @@ from .verify import CHECK_GROUPS, MODELS, model_of, run_checks
 
 _DEFAULT_MAX_GROUP = 4
 # Grids grow with a move's arguments and with a pd cross's diagonal
-# r + c - 1, so time and output would grow without bound above this.
+# r + c - 1; refusing larger values keeps time and output bounded.
 _MAX_COORD = 64
 
 
