@@ -1,0 +1,75 @@
+"""Golden digests of the bumpless moves: the order in which iter_bpds
+visits grids, every droop that succeeds on S5, and every min-droop on S4.
+
+Each digest is the sha256 of sorted (or, for iter_bpds, visiting-order)
+text lines, one per case, recorded from the code before the droop surgery
+was shared between droop and bpd_min_droop.  A change to any of them is a
+change to the moves' outputs.
+"""
+
+import hashlib
+import itertools
+
+from pipedreams import MoveError, Permutation, enumerate_bpds, symmetric_group
+from pipedreams.bumpless import iter_bpds
+from pipedreams.monk import bpd_min_droop
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update((line + "\n").encode())
+    return h.hexdigest()
+
+
+def _grid(d):
+    return " ".join(d.rows)
+
+
+def _bpds(n):
+    for pi in symmetric_group(n):
+        yield from sorted(enumerate_bpds(pi), key=lambda b: b.rows)
+
+
+def test_iter_bpds_visits_the_anchor_in_the_same_order():
+    # The bijection benchmark draws its inputs from this prefix.
+    grids = itertools.islice(iter_bpds(Permutation.parse("21786534")), 120)
+    assert _digest(map(_grid, grids)) == (
+        "ea74ebfa84f6809060af47937b3e6f186f274f6a01c1c776e7160a836926f494"
+    )
+
+
+def test_droop_succeeds_on_the_same_pairs_of_s5():
+    attempts, lines = 0, []
+    for b in _bpds(5):
+        m = b.n
+        for a, c in itertools.combinations(range(1, m + 1), 2):
+            for col, d in itertools.combinations(range(1, m + 1), 2):
+                attempts += 1
+                try:
+                    out = b.droop((a, col), (c, d))
+                except MoveError:
+                    continue
+                lines.append(f"{_grid(b)} {(a, col)} {(c, d)} {_grid(out)}")
+    assert (attempts, len(lines)) == (36470, 339)
+    assert _digest(sorted(lines)) == (
+        "c0ae70bd9cbb8f7c47e9fe452efc5fd2e5b00d93cf95ef04c47c80c4f51805fa"
+    )
+
+
+def test_min_droop_of_every_turn_of_s4_grown_by_two():
+    lines = []
+    for b in _bpds(4):
+        g = b.grow_to(b.n + 2)
+        for i, j in itertools.product(range(1, g.n + 1), repeat=2):
+            if g.tile(i, j) == "r":
+                try:
+                    out, corner = bpd_min_droop(g, (i, j))
+                except MoveError:
+                    lines.append(f"{_grid(g)} {(i, j)} MoveError")
+                    continue
+                lines.append(f"{_grid(g)} {(i, j)} {_grid(out)} {corner}")
+    assert len(lines) == 255
+    assert _digest(sorted(lines)) == (
+        "38ad0f7f80effd78aeea360e28ad31d71538434b699221ca9a159d0ee400c629"
+    )
