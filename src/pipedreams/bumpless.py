@@ -104,6 +104,59 @@ class _Editor:
         return tuple(out)
 
 
+# How a droop of the turn at (a, b) to (c, d) rewrites the border of the
+# rectangle they span: the turn leaves (a, b), column b and row a lose the
+# pipe's runs, the near corners (c, b) and (a, d) take its new turns east
+# and north, row c and column d gain its runs, and (c, d) takes its turn
+# north.  A tile missing from its table stops the droop.
+_LIFT = {"r": ".", "b": "j"}
+_UNRUN_NS = {"|": ".", "+": "-"}
+_UNRUN_EW = {"-": ".", "+": "|"}
+_TURN_EAST = {"|": "r", "j": "-"}
+_TURN_NORTH = {"-": "r", "j": "|"}
+_RUN_EW = {".": "-", "|": "+"}
+_RUN_NS = {".": "|", "-": "+"}
+_LAND = {".": "j", "r": "b"}
+
+
+def _droop_rows(
+    rows: tuple[str, ...], corner: tuple[int, int], far: tuple[int, int]
+) -> tuple[str, ...]:
+    """The rows after the turn at corner droops to far, strictly southeast
+    of it.  Raises MoveError where a border tile cannot take its part."""
+    (a, b), (c, d) = corner, far
+    grid = [list(row) for row in rows]
+
+    def put(i, j, table):
+        new = table.get(grid[i - 1][j - 1])
+        if new is None:
+            raise MoveError(f"droop meets tile {grid[i - 1][j - 1]!r} at {(i, j)}")
+        grid[i - 1][j - 1] = new
+
+    put(a, b, _LIFT)
+    for t in range(a + 1, c):
+        put(t, b, _UNRUN_NS)
+        put(t, d, _RUN_NS)
+    for j in range(b + 1, d):
+        put(a, j, _UNRUN_EW)
+        put(c, j, _RUN_EW)
+    put(c, b, _TURN_EAST)
+    put(a, d, _TURN_NORTH)
+    put(c, d, _LAND)
+    return tuple("".join(row) for row in grid)
+
+
+def _first_turn(grid: "BumplessPipeDream", k: int) -> int:
+    """The row where pipe k, running north up column k over '|' and '+'
+    from the south border, makes its first turn."""
+    i = grid.n
+    while i >= 1 and grid.tile(i, k) in "|+":
+        i -= 1
+    if i < 1 or grid.tile(i, k) != "r":
+        raise InvariantError(f"pipe {k} has no turn in column {k}")
+    return i
+
+
 class BpdTrace:
     """The permutation of a diagram, the pipe on each segment, and where
     each pair of pipes crosses."""
@@ -207,7 +260,12 @@ class BumplessPipeDream:
         return BumplessPipeDream(rows)
 
     def trim(self) -> "BumplessPipeDream":
-        return BumplessPipeDream(_trim_rows(self.rows))
+        """Strip the identity borders.  They hold no blank and no cross, so
+        the permutation of a validated grid carries over untraced."""
+        out = BumplessPipeDream(_trim_rows(self.rows))
+        if self._perm is not None and self._perm[0] is self.rows:
+            out._perm = (out.rows, self._perm[1])
+        return out
 
     def blanks(self) -> list[tuple[int, int]]:
         return [
@@ -308,31 +366,29 @@ class BumplessPipeDream:
             {p: tuple(sorted(v)) for p, v in pair_crossings.items()},
         )
 
-    def validate(self, allow_bump: bool = False) -> Permutation:
+    def validate(self) -> Permutation:
         """Check well-formedness and return the permutation of the diagram.
 
-        Requires no pair of pipes to cross more than once; bump tiles are
-        rejected unless allow_bump is set.  The permutation of a grid that
-        passed without bumps is kept, keyed to its rows, and returned by
-        later calls without a second trace.
+        Requires no bump tile and no pair of pipes crossing more than once.
+        The permutation of a grid that passed is kept, keyed to its rows,
+        and returned by later calls without a second trace.
         """
         rows = self.rows
         if self._perm is not None and self._perm[0] is rows:
             return self._perm[1]
-        trace = self.trace(allow_bump=allow_bump)
+        trace = self.trace()
         for pair, positions in trace.pair_crossings.items():
             if len(positions) > 1:
                 raise InvalidDiagramError(
                     f"pipes {sorted(pair)} cross twice at {positions}"
                 )
         pi = trace.perm
-        if not allow_bump:
-            count = sum(row.count(".") for row in rows)
-            if count != pi.length():
-                raise InvalidDiagramError(
-                    f"{count} blanks but permutation length {pi.length()}"
-                )
-            self._perm = (rows, pi)
+        count = sum(row.count(".") for row in rows)
+        if count != pi.length():
+            raise InvalidDiagramError(
+                f"{count} blanks but permutation length {pi.length()}"
+            )
+        self._perm = (rows, pi)
         return pi
 
     def perm(self) -> Permutation:
@@ -341,8 +397,10 @@ class BumplessPipeDream:
     def droop(self, corner: tuple[int, int], dest: tuple[int, int]) -> "BumplessPipeDream":
         """Move the turn at corner to the blank dest strictly southeast of it.
 
-        The rectangle they span may contain no other turn of the moving pipe;
-        violations surface as MoveError.
+        The pipe must pass straight through the near corners, '|' at
+        (dest row, corner column) and '-' at (corner row, dest column), and
+        the rectangle they span may contain no other turn of the moving
+        pipe; violations surface as MoveError.
         """
         (a, b), (c, d) = corner, dest
         if not (c > a and d > b):
@@ -351,22 +409,9 @@ class BumplessPipeDream:
             raise MoveError(f"no turn to droop at {(a, b)}")
         if self.tile(c, d) != ".":
             raise MoveError(f"destination {(c, d)} is not blank")
-        ed = _Editor(self.rows)
-        ed.remove(a, b, "SE")
-        for t in range(a + 1, c):
-            ed.remove(t, b, "NS")
-        ed.remove(c, b, "NS")
-        ed.add(c, b, "SE")
-        for j in range(b + 1, d):
-            ed.remove(a, j, "EW")
-        ed.remove(a, d, "EW")
-        ed.add(a, d, "SE")
-        for j in range(b + 1, d):
-            ed.add(c, j, "EW")
-        for t in range(a + 1, c):
-            ed.add(t, d, "NS")
-        ed.add(c, d, "NW")
-        result = BumplessPipeDream(ed.apply())
+        if self.tile(c, b) != "|" or self.tile(a, d) != "-":
+            raise MoveError(f"droop needs '|' at {(c, b)} and '-' at {(a, d)}")
+        result = BumplessPipeDream(_droop_rows(self.rows, corner, dest))
         try:
             new_pi = result.validate()
         except InvalidDiagramError as exc:
@@ -471,11 +516,11 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
                     f"column scan stopped at {(t, y + 1)} on {cur.tile(t, y + 1)!r}"
                 )
             terminal = True
-            trace = cur.trace()
-            positions = trace.pair_crossings.get(frozenset({y, y + 1}), ())
-            if len(positions) != 1 or positions[0][1] != y + 1 or positions[0][0] <= x:
-                raise InvariantError(f"pipes {y} and {y + 1} cross at {positions}")
-            x2 = positions[0][0]
+            # Pipe y+1 runs straight up column y+1 to row x, so pipe y
+            # crosses it where pipe y first turns east.
+            x2 = _first_turn(cur, y)
+            if x2 <= x or cur.tile(x2, y + 1) != "+":
+                raise InvariantError(f"pipes {y}, {y + 1} do not cross below row {x}")
         ed = _Editor(cur.rows)
         # Kinks: pipes crossing from column y into column y+1 inside the
         # rectangle get pushed one column east.
@@ -555,17 +600,7 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
         return None
     grown = diagram.grow_to(max(diagram.n, a + 1))
     n = grown.n
-
-    def first_turn_row(pipe: int) -> int:
-        """Pipe k runs north up column k over '|' and '+' to its first turn."""
-        i = n
-        while i >= 1 and grown.tile(i, pipe) in "|+":
-            i -= 1
-        if i < 1 or grown.tile(i, pipe) != "r":
-            raise InvariantError(f"pipe {pipe} has no turn in column {pipe}")
-        return i
-
-    x, x2 = first_turn_row(a), first_turn_row(a + 1)
+    x, x2 = _first_turn(grown, a), _first_turn(grown, a + 1)
     if x >= x2:
         return None
     try:

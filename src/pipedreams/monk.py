@@ -10,7 +10,7 @@ partition the diagrams of all pi t_{a,l}.
 
 from __future__ import annotations
 
-from .bumpless import BumplessPipeDream, _Editor, _SEGMENTS
+from .bumpless import BumplessPipeDream, _SEGMENTS, _droop_rows
 from .errors import InvariantError, MoveError
 from .perm import Permutation
 from .pipedream import PipeDream, trace_pipes
@@ -113,8 +113,10 @@ def bpd_min_droop(
     """Droop the turn at pos to the nearest free corner southeast of it.
 
     The scans south and east skip crossing tiles only; the grid grows as
-    needed.  Returns the new diagram and the corner position, whose tile is
-    'j' if the corner was blank and 'b' if it held another pipe's turn.
+    needed.  Unlike droop, a near corner may hold a 'j' turn of the pipe,
+    which straightens.  Returns the new diagram and the corner position,
+    whose tile is 'j' if the corner was blank and 'b' if it held another
+    pipe's turn.
 
     >>> d, corner = bpd_min_droop(BumplessPipeDream.identity(2), (1, 1))
     >>> d.rows, corner
@@ -138,36 +140,8 @@ def bpd_min_droop(
         if cur.tile(a, b + y) != "+":
             break
         y += 1
-    ed = _Editor(cur.rows)
-    ed.remove(a, b, "SE")
-    for t in range(1, x):
-        ed.remove(a + t, b, "NS")
-    for t in range(1, y):
-        ed.remove(a, b + t, "EW")
-    below = cur.tile(a + x, b)
-    if below == "|":
-        ed.remove(a + x, b, "NS")
-        ed.add(a + x, b, "SE")
-    elif below == "j":
-        ed.remove(a + x, b, "NW")
-        ed.add(a + x, b, "EW")
-    else:
-        raise MoveError(f"unexpected tile {below!r} south of the droop")
-    east = cur.tile(a, b + y)
-    if east == "-":
-        ed.remove(a, b + y, "EW")
-        ed.add(a, b + y, "SE")
-    elif east == "j":
-        ed.remove(a, b + y, "NW")
-        ed.add(a, b + y, "NS")
-    else:
-        raise MoveError(f"unexpected tile {east!r} east of the droop")
-    for t in range(1, y):
-        ed.add(a + x, b + t, "EW")
-    for t in range(1, x):
-        ed.add(a + t, b + y, "NS")
-    ed.add(a + x, b + y, "NW")
-    return BumplessPipeDream(ed.apply()), (a + x, b + y)
+    far = (a + x, b + y)
+    return BumplessPipeDream(_droop_rows(cur.rows, pos, far)), far
 
 
 def bpd_cross_bump_swap(

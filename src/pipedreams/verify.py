@@ -202,6 +202,16 @@ def _clause(name, ok, detail=""):
     return (name, "pass" if ok else "fail", detail)
 
 
+def _descent_m(ops: Model, d, k: int):
+    """The m move at rho^-1(k+1), rho^-1(k) on d, where rho is the
+    permutation of d, when k is a left descent of rho; else d itself."""
+    rho = d.perm()
+    if k not in rho.left_descents():
+        return d
+    inv = rho.inverse()
+    return ops.m(d, inv(k + 1), inv(k))[0]
+
+
 def lemma_case_audit(diagram, move) -> AuditReport:
     """Check how one insertion move commutes with one pop step.
 
@@ -216,7 +226,8 @@ def lemma_case_audit(diagram, move) -> AuditReport:
     * x with alpha < r: pop returns (alpha, alpha) and popping undoes the
       insertion exactly.
 
-    Sub-moves whose cover precondition fails are reported as skipped.
+    A ValueError from the m move on the popped diagram skips the audit, and
+    one from the follow-up m move of the x path skips its nabla clause.
     """
     ops = model_of(diagram)
     if move[0] == "m":
@@ -236,59 +247,34 @@ def lemma_case_audit(diagram, move) -> AuditReport:
     i, r, nabla = first.a, first.r, first.result
     i2, r2, nabla_moved = second.a, second.r, second.result
     checks = []
-    if move[0] == "m":
-        inv = pi.inverse()
-        special = {s, beta} == {inv(i), inv(i + 1)}
-        if special:
-            case = "m-special"
-            checks.append(
-                _clause("pop", (i2, r2) == (i + 1, r), f"got {(i2, r2)}")
-            )
-            rho = nabla.perm()
-            if i + 1 in rho.left_descents():
-                sp, bp = rho.inverse()(i + 2), rho.inverse()(i + 1)
-                expected = ops.m(nabla, sp, bp)[0]
-            else:
-                expected = nabla
-            checks.append(_clause("nabla", nabla_moved == expected))
-        else:
-            case = "m-generic"
-            try:
-                m_nabla = ops.m(nabla, s, beta)[0]
-            except ValueError as exc:
-                return AuditReport(
-                    ops.name, case, [("m-on-popped", "skip", str(exc))]
-                )
-            rho = m_nabla.perm()
-            want = (i + 1, r) if i in rho.left_descents() else (i, r)
-            checks.append(_clause("pop", (i2, r2) == want, f"got {(i2, r2)}"))
-            if i in rho.left_descents() and i + 1 in rho.left_descents():
-                sp, bp = rho.inverse()(i + 2), rho.inverse()(i + 1)
-                expected = ops.m(m_nabla, sp, bp)[0]
-            else:
-                expected = m_nabla
-            checks.append(_clause("nabla", nabla_moved == expected))
-    elif alpha < r:
+    if move[0] == "m" and {s, beta} == {pi.inverse()(i), pi.inverse()(i + 1)}:
+        case = "m-special"
+        checks.append(_clause("pop", (i2, r2) == (i + 1, r), f"got {(i2, r2)}"))
+        checks.append(_clause("nabla", nabla_moved == _descent_m(ops, nabla, i + 1)))
+    elif move[0] == "x" and alpha < r:
         case = "x-low"
         checks.append(
             _clause("pop", (i2, r2) == (alpha, alpha), f"got {(i2, r2)}")
         )
         checks.append(_clause("nabla", nabla_moved == diagram))
     else:
-        case = "x-generic"
-        x_nabla = ops.x(nabla, alpha)[0]
-        rho = x_nabla.perm()
-        want = (i + 1, r) if i in rho.left_descents() else (i, r)
+        case = move[0] + "-generic"
+        try:
+            up = ops.apply(nabla, move)[0]
+        except ValueError as exc:
+            if move[0] == "x":
+                raise
+            return AuditReport(ops.name, case, [("m-on-popped", "skip", str(exc))])
+        descends = i in up.perm().left_descents()
+        want = (i + 1, r) if descends else (i, r)
         checks.append(_clause("pop", (i2, r2) == want, f"got {(i2, r2)}"))
-        if i in rho.left_descents() and i + 1 in rho.left_descents():
-            sp, bp = rho.inverse()(i + 2), rho.inverse()(i + 1)
-            try:
-                expected = ops.m(x_nabla, sp, bp)[0]
-            except ValueError as exc:
-                checks.append(("nabla", "skip", str(exc)))
-                return AuditReport(ops.name, case, checks)
-        else:
-            expected = x_nabla
+        try:
+            expected = _descent_m(ops, up, i + 1) if descends else up
+        except ValueError as exc:
+            if move[0] == "m":
+                raise
+            checks.append(("nabla", "skip", str(exc)))
+            return AuditReport(ops.name, case, checks)
         checks.append(_clause("nabla", nabla_moved == expected))
     return AuditReport(ops.name, case, checks)
 

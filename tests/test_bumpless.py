@@ -20,6 +20,7 @@ from pipedreams import (
     bpd_pop,
     enumerate_bpds,
     enumerate_pipe_dreams,
+    phi,
     phi_inverse,
     schubert_polynomial,
     symmetric_group,
@@ -140,16 +141,58 @@ def traced(monkeypatch):
 
 def test_validated_grid_is_traced_once(traced):
     d = BumplessPipeDream.rothe(Permutation((3, 1, 2)))
-    assert d.validate() == d.perm() == d.validate(allow_bump=True)
+    assert d.validate() == d.perm()
     assert traced == [d.rows]
 
 
-def test_phi_inverse_traces_at_most_four_grids_per_insertion(traced):
+def test_phi_inverse_traces_at_most_two_grids_per_insertion(traced):
+    # The identity start, then per insertion the round-trip pop's input
+    # check and output check; the trimmed return keeps its permutation.
     pi = Permutation.parse("2153746")
     for d in enumerate_pipe_dreams(pi):
         traced.clear()
         phi_inverse(d)
-        assert len(traced) <= 4 * pi.length(), d
+        assert len(traced) <= 2 * pi.length() + 1, d
+
+
+def test_phi_traces_each_grid_of_the_pop_chain_once(traced):
+    # The input check of the first pop, then one output check per pop; no
+    # pop traces an intermediate grid.
+    pi = Permutation.parse("2153746")
+    for rows in sorted(b.rows for b in enumerate_bpds(pi)):
+        traced.clear()
+        phi(BumplessPipeDream(rows))
+        assert len(traced) <= pi.length() + 1, rows
+
+
+def test_trim_carries_the_validated_permutation(traced):
+    pi = Permutation.parse("2153746")
+    grown = BumplessPipeDream.rothe(pi).grow_to(9)
+    assert grown.validate() == pi
+    traced.clear()
+    trimmed = grown.trim()
+    assert trimmed.n == 7
+    assert trimmed.validate() is grown.validate()
+    assert traced == []
+    # An unvalidated grid passes on no memo: the trimmed grid is traced.
+    fresh = BumplessPipeDream.rothe(pi).grow_to(9).trim()
+    assert fresh.validate() == pi
+    assert traced == [fresh.rows]
+
+
+def test_trim_of_a_malformed_grid_invents_no_memo():
+    bad = BumplessPipeDream(("rr", "rr")).grow_to(3)
+    with pytest.raises(InvalidDiagramError):
+        bad.validate()
+    for _ in range(2):
+        with pytest.raises(InvalidDiagramError):
+            bad.trim().validate()
+    # A memo of rows that were since replaced is not carried either.
+    stale = BumplessPipeDream.identity(3)
+    assert stale.validate() == Permutation()
+    stale.rows = bad.rows
+    with pytest.raises(InvalidDiagramError):
+        stale.trim().validate()
 
 
 def test_malformed_grid_raises_on_every_validate():
@@ -161,7 +204,7 @@ def test_malformed_grid_raises_on_every_validate():
 
 def test_bump_validate_does_not_admit_a_later_plain_validate():
     d = BumplessPipeDream((".r", "rb"))
-    assert d.validate(allow_bump=True) == d.validate(allow_bump=True)
+    assert d.trace(allow_bump=True).perm == d.trace(allow_bump=True).perm
     for _ in range(2):
         with pytest.raises(InvalidDiagramError, match="bump tile"):
             d.validate()
@@ -212,7 +255,7 @@ def test_bump_tile_only_with_flag():
     rows = (".r", "rb")
     with pytest.raises(InvalidDiagramError):
         BumplessPipeDream(rows).validate()
-    BumplessPipeDream(rows).validate(allow_bump=True)
+    BumplessPipeDream(rows).trace(allow_bump=True)
 
 
 def test_grow_and_trim_roundtrip():

@@ -132,3 +132,67 @@ def test_module_keeps_no_cache(path):
             continue
         for expr in exprs:
             assert _called_name(expr) not in ("cache", "lru_cache"), node.lineno
+
+
+@pytest.fixture
+def refusing(monkeypatch):
+    """Calls of the pd x and m moves within one audit, counted per kind;
+    set refuse[kind] = k to make the k-th call raise ValueError."""
+    calls, refuse = {"x": 0, "m": 0}, {}
+    ops = verify.MODELS["pd"]
+
+    def counted(kind):
+        real = getattr(ops, kind)
+
+        def move(*args):
+            calls[kind] += 1
+            if refuse.get(kind) == calls[kind]:
+                raise ValueError("refused")
+            return real(*args)
+
+        return move
+
+    monkeypatch.setitem(verify.MODELS, "pd", ops._replace(x=counted("x"), m=counted("m")))
+
+    def audit(d, move, **refusals):
+        calls.update(x=0, m=0)
+        refuse.clear()
+        refuse.update(refusals)
+        return verify.lemma_case_audit(d, move)
+
+    audit.calls = calls
+    return audit
+
+
+def _first_generic_audit(audit, kind, m_calls):
+    """The first S4 pd audit of a kind move whose generic case makes
+    m_calls m moves, so that it reaches the follow-up m move."""
+    for pi, base, move, _ in verify._moves(4):
+        if move[0] != kind or (kind == "x" and pi.is_identity()):
+            continue
+        for d in sorted(pipedreams.enumerate_pipe_dreams(base), key=lambda d: sorted(d.crosses)):
+            report = audit(d, move)
+            if report.case == kind + "-generic" and audit.calls["m"] == m_calls:
+                return d, move
+    raise AssertionError(f"no {kind}-generic audit with a follow-up m move")
+
+
+def test_m_generic_audit_skips_only_the_m_move_on_the_popped_diagram(refusing):
+    d, move = _first_generic_audit(refusing, "m", 3)
+    report = refusing(d, move, m=2)
+    assert (report.case, report.checks) == (
+        "m-generic",
+        [("m-on-popped", "skip", "refused")],
+    )
+    with pytest.raises(ValueError, match="refused"):
+        refusing(d, move, m=3)
+
+
+def test_x_generic_audit_skips_only_the_follow_up_nabla_clause(refusing):
+    d, move = _first_generic_audit(refusing, "x", 1)
+    report = refusing(d, move, m=1)
+    assert report.case == "x-generic"
+    assert [c[0] for c in report.checks] == ["pop", "nabla"]
+    assert report.checks[1] == ("nabla", "skip", "refused")
+    with pytest.raises(ValueError, match="refused"):
+        refusing(d, move, x=2)
