@@ -1,9 +1,11 @@
 """Golden digests of the bumpless moves: the order in which iter_bpds
-visits grids, every droop that succeeds on S5, and every min-droop on S4.
+visits grids, every droop that succeeds on S5, every min-droop on S4, every
+pop step of the pop chains of S5, and every insertion into S5.
 
 Each digest is the sha256 of sorted (or, for iter_bpds, visiting-order)
 text lines, one per case, recorded from the code before the droop surgery
-was shared between droop and bpd_min_droop.  A change to any of them is a
+was shared between droop and bpd_min_droop (the pop and insert digests:
+before the column move became one tile table).  A change to any of them is a
 change to the moves' outputs.
 """
 
@@ -11,7 +13,7 @@ import hashlib
 import itertools
 
 from pipedreams import MoveError, Permutation, enumerate_bpds, symmetric_group
-from pipedreams.bumpless import iter_bpds
+from pipedreams.bumpless import bpd_insert, bpd_pop, iter_bpds
 from pipedreams.monk import bpd_min_droop
 
 
@@ -72,4 +74,33 @@ def test_min_droop_of_every_turn_of_s4_grown_by_two():
     assert len(lines) == 255
     assert _digest(sorted(lines)) == (
         "38ad0f7f80effd78aeea360e28ad31d71538434b699221ca9a159d0ee400c629"
+    )
+
+
+def test_every_pop_step_of_the_pop_chains_of_s5():
+    lines = []
+    for b in _bpds(5):
+        cur = b
+        while not cur.validate().is_identity():
+            step = bpd_pop(cur)
+            lines.append(
+                f"{_grid(cur)} {step.a} {step.r} {_grid(step.result)} {step.footprints}"
+            )
+            cur = step.result
+    assert len(lines) == 1758
+    assert _digest(sorted(lines)) == (
+        "2eed9ae7f7476d080cea82db18a256538c6b3c3bc55a3dbcf32c2114cf468896"
+    )
+
+
+def test_insert_every_letter_and_row_into_s5():
+    lines, found = [], 0
+    for b in _bpds(5):
+        for a, r in itertools.product(range(1, 7), repeat=2):
+            out = bpd_insert(b, a, r)
+            found += out is not None
+            lines.append(f"{_grid(b)} {a} {r} {_grid(out) if out else None}")
+    assert (len(lines), found) == (14148, 1281)
+    assert _digest(sorted(lines)) == (
+        "ca1050c32fd679e51c4e48671549ba050bd6945a3f74c36dcb39297123d33b54"
     )
