@@ -30,7 +30,6 @@ _SEGMENTS = {
     "+": frozenset({"NS", "EW"}),
     "b": frozenset({"SE", "NW"}),
 }
-_LETTER = {segs: letter for letter, segs in _SEGMENTS.items()}
 
 # Which of the four cell edges each segment kind touches.
 _EDGES = {
@@ -56,52 +55,6 @@ _STEP = {
     for seg in segs
     for e, out in (_EDGES[seg], _EDGES[seg][::-1])
 }
-
-
-class _Editor:
-    """Batched segment surgery on a grid of tiles.
-
-    All queued removals are applied before all queued additions, so a batch of
-    overlapping tile rewrites does not depend on ordering.  A removal of an
-    absent segment, an addition of a present one, or a final tile whose
-    segments share an edge all raise MoveError.
-    """
-
-    def __init__(self, rows: tuple[str, ...]):
-        self.cells = [[set(_SEGMENTS[ch]) for ch in row] for row in rows]
-        self.removals: list[tuple[int, int, str]] = []
-        self.additions: list[tuple[int, int, str]] = []
-
-    def remove(self, i: int, j: int, seg: str) -> None:
-        self.removals.append((i, j, seg))
-
-    def add(self, i: int, j: int, seg: str) -> None:
-        self.additions.append((i, j, seg))
-
-    def apply(self) -> tuple[str, ...]:
-        for i, j, seg in self.removals:
-            cell = self.cells[i - 1][j - 1]
-            if seg not in cell:
-                raise MoveError(f"no {seg} segment to remove at {(i, j)}")
-            cell.discard(seg)
-        for i, j, seg in self.additions:
-            cell = self.cells[i - 1][j - 1]
-            if seg in cell:
-                raise MoveError(f"{seg} segment already present at {(i, j)}")
-            used = {e for s in cell for e in _EDGES[s]}
-            if any(e in used for e in _EDGES[seg]):
-                raise MoveError(f"edge conflict adding {seg} at {(i, j)}")
-            cell.add(seg)
-        out = []
-        for line in self.cells:
-            chars = []
-            for cell in line:
-                letter = _LETTER.get(frozenset(cell))
-                if letter is None:
-                    raise MoveError(f"illegal tile {sorted(cell)}")
-                chars.append(letter)
-            out.append("".join(chars))
-        return tuple(out)
 
 
 # How a droop of the turn at (a, b) to (c, d) rewrites the border of the
@@ -146,15 +99,66 @@ def _droop_rows(
     return tuple("".join(row) for row in grid)
 
 
-def _first_turn(grid: "BumplessPipeDream", k: int) -> int:
+def _first_turn(rows: tuple[str, ...], k: int) -> int:
     """The row where pipe k, running north up column k over '|' and '+'
     from the south border, makes its first turn."""
-    i = grid.n
-    while i >= 1 and grid.tile(i, k) in "|+":
+    i = len(rows)
+    while i >= 1 and rows[i - 1][k - 1] in "|+":
         i -= 1
-    if i < 1 or grid.tile(i, k) != "r":
+    if i < 1 or rows[i - 1][k - 1] != "r":
         raise InvariantError(f"pipe {k} has no turn in column {k}")
     return i
+
+
+# A column move of bpd_pop rewrites the strip of columns y and y+1 from the
+# marked blank's row down to the row where the neighbouring pipe turns west,
+# or on the terminal step crosses pipe y.  The blank takes a turn, the
+# neighbouring pipe's run moves one column west, and each kink of another
+# pipe from column y into column y+1 moves one column east.  Row by row the
+# new pair of tiles depends only on the old pair and on the state: the top
+# row, outside a kink, inside one, or the bottom row, which is "last" on a
+# non-terminal step and "cross" on the terminal one.
+# (state, old pair) -> (new pair, next state).
+_COLUMN_MOVE = {
+    ("top", ".r"): ("r-", "out"),
+    ("top", ".|"): ("rj", "out"),
+    ("out", ".|"): ("|.", "out"),
+    ("out", "-+"): ("+-", "out"),
+    ("out", "r+"): ("|r", "in"),
+    ("in", "||"): ("||", "in"),
+    ("in", "++"): ("++", "in"),
+    ("in", "j|"): ("+j", "out"),
+    ("last", "-j"): ("j.", "end"),
+    ("last", "rj"): ("|.", "end"),
+    ("cross", "r+"): ("|r", "end"),
+}
+# The same moves run backwards for bpd_insert: (state, new pair) -> (old
+# pair, next state).  No two old pairs of one state share a new pair.
+_REVERSE = {
+    (state, new): (old, nxt) for (state, old), (new, nxt) in _COLUMN_MOVE.items()
+}
+
+
+def _move_strip(
+    rows: tuple[str, ...], top: int, bottom: int, col: int, last: str, table: dict
+) -> Optional[tuple[str, ...]]:
+    """The rows after table rewrites columns col and col+1 from row top to
+    row bottom, whose state is last; None where a pair has no entry or a
+    kink is still open at the bottom row."""
+    out = list(rows)
+    state = "top"
+    for i in range(top, bottom + 1):
+        if i == bottom:
+            if state != "out":
+                return None
+            state = last
+        row = out[i - 1]
+        step = table.get((state, row[col - 1 : col + 1]))
+        if step is None:
+            return None
+        pair, state = step
+        out[i - 1] = row[: col - 1] + pair + row[col + 1 :]
+    return tuple(out)
 
 
 class BpdTrace:
@@ -416,8 +420,11 @@ class BumplessPipeDream:
             new_pi = result.validate()
         except InvalidDiagramError as exc:
             raise MoveError(f"droop breaks the diagram: {exc}") from exc
-        if new_pi != self.validate():
+        pi = self.validate()
+        if new_pi != pi:
             raise MoveError("droop changed the permutation")
+        # Keep the parent's Permutation: one enumeration then holds one.
+        result._perm = (result.rows, pi)
         return result
 
     def __eq__(self, other) -> bool:
@@ -485,95 +492,35 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
     pi = diagram.validate()
     if pi.is_identity():
         raise EmptyDiagramError("cannot pop the identity diagram")
-    blanks = diagram.blanks()
-    r = min(i for i, _ in blanks)
-    x = r
-    y = max(j for i, j in blanks if i == r)
+    rows = diagram.rows
+    n = len(rows)
+    r = next(i for i, row in enumerate(rows, 1) if "." in row)
+    x, y = r, rows[r - 1].rindex(".") + 1
     footprints: list[tuple[int, int]] = []
-    cur = diagram
-    for _ in range(2 * cur.n * cur.n + 2):
-        n = cur.n
+    for _ in range(2 * n * n + 2):
         # Slide east to the end of the contiguous blank block.
-        while y + 1 <= n and cur.tile(x, y + 1) == ".":
+        while y + 1 <= n and rows[x - 1][y] == ".":
             y += 1
         if y + 1 > n:
             raise InvariantError("blank block touched the east border")
-        neighbor = cur.tile(x, y + 1)
-        if neighbor not in ("|", "r"):
-            raise InvariantError(
-                f"unexpected tile {neighbor!r} east of the marked blank"
-            )
-        # Scan down column y+1 for the end of the neighboring pipe's run.
-        t = x + 1
-        while t <= n and "NS" in _SEGMENTS[cur.tile(t, y + 1)]:
-            t += 1
-        if t <= n and cur.tile(t, y + 1) == "j":
-            x2 = t
-            terminal = False
-        else:
-            if t != n + 1:
-                raise InvariantError(
-                    f"column scan stopped at {(t, y + 1)} on {cur.tile(t, y + 1)!r}"
-                )
-            terminal = True
+        # Scan down column y+1 for the end of the neighboring pipe's run;
+        # the table checks that it ends in a turn west.
+        x2 = x + 1
+        while x2 <= n and rows[x2 - 1][y] in "|+":
+            x2 += 1
+        terminal = x2 > n
+        if terminal:
             # Pipe y+1 runs straight up column y+1 to row x, so pipe y
             # crosses it where pipe y first turns east.
-            x2 = _first_turn(cur, y)
-            if x2 <= x or cur.tile(x2, y + 1) != "+":
+            x2 = _first_turn(rows, y)
+            if x2 <= x:
                 raise InvariantError(f"pipes {y}, {y + 1} do not cross below row {x}")
-        ed = _Editor(cur.rows)
-        # Kinks: pipes crossing from column y into column y+1 inside the
-        # rectangle get pushed one column east.
-        for z in range(x + 1, x2):
-            if "SE" in _SEGMENTS[cur.tile(z, y)] and "EW" in _SEGMENTS[
-                cur.tile(z, y + 1)
-            ]:
-                z2 = z + 1
-                while "NS" in _SEGMENTS[cur.tile(z2, y)]:
-                    z2 += 1
-                if "NW" not in _SEGMENTS[cur.tile(z2, y)] or z2 >= x2:
-                    raise InvariantError(f"kink at {(z, y)} has no turn above row {x2}")
-                ed.remove(z, y, "SE")
-                ed.remove(z, y + 1, "EW")
-                ed.add(z, y + 1, "SE")
-                for t2 in range(z + 1, z2):
-                    ed.remove(t2, y, "NS")
-                    ed.add(t2, y + 1, "NS")
-                ed.remove(z2, y, "NW")
-                ed.add(z2, y, "EW")
-                ed.add(z2, y + 1, "NW")
-        # The neighboring pipe's vertical run moves one column west.
-        for t2 in range(x + 1, x2):
-            if "NS" in _SEGMENTS[cur.tile(t2, y + 1)]:
-                ed.remove(t2, y + 1, "NS")
-                ed.add(t2, y, "NS")
-        if "SE" in _SEGMENTS[neighbor]:
-            ed.remove(x, y + 1, "SE")
-            ed.add(x, y + 1, "EW")
-        else:
-            ed.remove(x, y + 1, "NS")
-            ed.add(x, y + 1, "NW")
-        ed.add(x, y, "SE")
-        if terminal:
-            ed.remove(x2, y + 1, "NS")
-            ed.remove(x2, y + 1, "EW")
-            ed.add(x2, y + 1, "SE")
-            ed.remove(x2, y, "SE")
-            ed.add(x2, y, "NS")
-        else:
-            ed.remove(x2, y + 1, "NW")
-            bottom = cur.tile(x2, y)
-            if bottom not in ("-", "r"):
-                raise InvariantError(
-                    f"unexpected tile {bottom!r} at the rectangle's far corner"
-                )
-            if bottom == "-":
-                ed.remove(x2, y, "EW")
-                ed.add(x2, y, "NW")
-            else:
-                ed.remove(x2, y, "SE")
-                ed.add(x2, y, "NS")
-        cur = BumplessPipeDream(ed.apply())
+        moved = _move_strip(
+            rows, x, x2, y, "cross" if terminal else "last", _COLUMN_MOVE
+        )
+        if moved is None:
+            raise InvariantError(f"column move from {(x, y)} meets a foreign tile")
+        rows = moved
         if terminal:
             a = y
             break
@@ -581,7 +528,7 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
         x, y = x2, y + 1
     else:  # pragma: no cover
         raise InvariantError("pop cascade did not terminate")
-    result = cur.trim()
+    result = BumplessPipeDream(_trim_rows(rows))
     if result.validate() != pi.left_s(a):
         raise InvariantError("pop changed the permutation incorrectly")
     return PopResult(a, r, result, tuple(footprints))
@@ -598,31 +545,33 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
     # The grid is reduced, so pipes a and a+1 cross iff a is a left descent.
     if a in diagram.validate().left_descents():
         return None
-    grown = diagram.grow_to(max(diagram.n, a + 1))
-    n = grown.n
-    x, x2 = _first_turn(grown, a), _first_turn(grown, a + 1)
+    rows = diagram.grow_to(max(diagram.n, a + 1)).rows
+    n = len(rows)
+    x, x2 = _first_turn(rows, a), _first_turn(rows, a + 1)
     if x >= x2:
         return None
-    try:
-        cur = _reverse_terminal(grown, a, x, x2)
-    except MoveError:
-        return None
+    # Recross pipes a and a+1 at (x2, a+1), opening the blank at (x, a).
+    rows = _move_strip(rows, x, x2, a, "cross", _REVERSE)
     bx, by = x, a
     for _ in range(2 * n * n + 2):
+        if rows is None or bx < r:
+            return None
         if bx == r:
             break
-        if bx < r:
-            return None
-        while by - 1 >= 1 and cur.tile(bx, by - 1) == ".":
+        while by - 1 >= 1 and rows[bx - 1][by - 2] == ".":
             by -= 1
         if by - 1 < 1:
             return None
-        try:
-            cur, bx, by = _reverse_column_move(cur, bx, by)
-        except MoveError:
-            return None
+        # Undo the column move whose blank started at the turn that tops
+        # the run of column by-1 above the blank.
+        x0 = bx - 1
+        while x0 > 1 and rows[x0 - 1][by - 2] in "|+":
+            x0 -= 1
+        rows = _move_strip(rows, x0, bx, by - 1, "last", _REVERSE)
+        bx, by = x0, by - 1
     else:  # pragma: no cover
         raise InvariantError("insert cascade did not terminate")
+    cur = BumplessPipeDream(rows)
     try:
         check = bpd_pop(cur)
     except (InvalidDiagramError, EmptyDiagramError):
@@ -630,92 +579,6 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
     if (check.a, check.r) == (a, r) and check.result == diagram:
         return cur.trim()
     return None
-
-
-def _reverse_terminal(g: BumplessPipeDream, a: int, x: int, x2: int) -> BumplessPipeDream:
-    """Recross pipes a and a+1 at (x2, a+1) and open a blank at (x, a)."""
-    ed = _Editor(g.rows)
-    _queue_reverse_shift(ed, g, x, x2, a + 1)
-    if g.tile(x2, a + 1) != "r":
-        raise MoveError("no turn to recross at the rectangle's corner")
-    ed.remove(x2, a + 1, "SE")
-    ed.add(x2, a + 1, "NS")
-    ed.add(x2, a + 1, "EW")
-    if g.tile(x2, a) != "|":
-        raise MoveError("left edge of the recrossing is not vertical")
-    ed.remove(x2, a, "NS")
-    ed.add(x2, a, "SE")
-    ed.remove(x, a, "SE")
-    return BumplessPipeDream(ed.apply())
-
-
-def _queue_reverse_shift(
-    ed: _Editor, g: BumplessPipeDream, top: int, bottom: int, d: int
-) -> None:
-    """Undo the shift of a column move between rows top and bottom: kinks of
-    column d go back west, vertical runs of column d-1 back east, and the
-    tile at (top, d) gives its turn back."""
-    corner = g.tile(top, d)
-    if corner not in ("-", "j"):
-        raise MoveError(f"unexpected tile {corner!r} at {(top, d)}")
-    for z in range(top + 1, bottom):
-        segs = _SEGMENTS[g.tile(z, d)]
-        if "SE" in segs and "EW" not in segs:
-            _queue_reverse_kink(ed, g, z, d)
-    for t in range(top + 1, bottom):
-        if "NS" in _SEGMENTS[g.tile(t, d - 1)]:
-            ed.remove(t, d - 1, "NS")
-            ed.add(t, d, "NS")
-    if corner == "-":
-        ed.remove(top, d, "EW")
-        ed.add(top, d, "SE")
-    else:
-        ed.remove(top, d, "NW")
-        ed.add(top, d, "NS")
-
-
-def _queue_reverse_kink(ed: _Editor, g: BumplessPipeDream, z: int, d: int) -> None:
-    """Push a kink one column west, from column d back into column d-1."""
-    z2 = z + 1
-    while "NS" in _SEGMENTS[g.tile(z2, d)]:
-        z2 += 1
-    if "NW" not in _SEGMENTS[g.tile(z2, d)]:
-        raise MoveError("kink has no terminating turn")
-    ed.add(z, d - 1, "SE")
-    ed.add(z, d, "EW")
-    ed.remove(z, d, "SE")
-    for t in range(z + 1, z2):
-        ed.add(t, d - 1, "NS")
-        ed.remove(t, d, "NS")
-    ed.add(z2, d - 1, "NW")
-    ed.remove(z2, d - 1, "EW")
-    ed.remove(z2, d, "NW")
-
-
-def _reverse_column_move(
-    g: BumplessPipeDream, bx: int, by: int
-) -> tuple[BumplessPipeDream, int, int]:
-    """Undo one column move: the blank at (bx, by) came from (x0, by-1)."""
-    d = by
-    left = g.tile(bx, d - 1)
-    if left not in ("j", "|"):
-        raise MoveError(f"unexpected tile {left!r} west of the blank")
-    x0 = bx - 1
-    while x0 >= 1 and "NS" in _SEGMENTS[g.tile(x0, d - 1)]:
-        x0 -= 1
-    if x0 < 1 or g.tile(x0, d - 1) != "r":
-        raise MoveError("no plain turn above the blank's column")
-    ed = _Editor(g.rows)
-    _queue_reverse_shift(ed, g, x0, bx, d)
-    ed.add(bx, d, "NW")
-    if left == "j":
-        ed.remove(bx, d - 1, "NW")
-        ed.add(bx, d - 1, "EW")
-    else:
-        ed.remove(bx, d - 1, "NS")
-        ed.add(bx, d - 1, "SE")
-    ed.remove(x0, d - 1, "SE")
-    return BumplessPipeDream(ed.apply()), x0, d - 1
 
 
 def iter_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
@@ -733,8 +596,9 @@ def iter_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
             for j in range(1, n + 1)
             if cur.tile(i, j) == "r"
         ]
+        blanks = cur.blanks()
         for corner in corners:
-            for dest in cur.blanks():
+            for dest in blanks:
                 if dest[0] > corner[0] and dest[1] > corner[1]:
                     try:
                         nxt = cur.droop(corner, dest)

@@ -10,7 +10,7 @@ partition the diagrams of all pi t_{a,l}.
 
 from __future__ import annotations
 
-from .bumpless import BumplessPipeDream, _SEGMENTS, _droop_rows
+from .bumpless import BumplessPipeDream, _droop_rows
 from .errors import InvariantError, MoveError
 from .perm import Permutation
 from .pipedream import PipeDream, trace_pipes
@@ -124,7 +124,7 @@ def bpd_min_droop(
     """
     a, b = pos
     cur = diagram
-    if "SE" not in _SEGMENTS[cur.tile(a, b)]:
+    if cur.tile(a, b) not in "rb":
         raise MoveError(f"no southeast turn at {pos}")
     x = 1
     while True:

@@ -180,6 +180,12 @@ def test_trim_carries_the_validated_permutation(traced):
     assert traced == [fresh.rows]
 
 
+def test_every_diagram_of_an_enumeration_shares_one_permutation():
+    diagrams = enumerate_bpds(Permutation.parse("2153746"))
+    perms = {id(d.validate()) for d in diagrams}
+    assert len(diagrams) > 1 and len(perms) == 1
+
+
 def test_trim_of_a_malformed_grid_invents_no_memo():
     bad = BumplessPipeDream(("rr", "rr")).grow_to(3)
     with pytest.raises(InvalidDiagramError):
