@@ -1,20 +1,25 @@
 """Golden digests of the bumpless moves: the order in which iter_bpds
 visits grids, every droop that succeeds on S5, every min-droop on S4, every
-pop step of the pop chains of S5, and every insertion into S5.
+pop step of the pop chains of S5, every insertion into S5, and every Monk
+x and m move of S4 and S5.
 
 Each digest is the sha256 of sorted (or, for iter_bpds, visiting-order)
 text lines, one per case, recorded from the code before the droop surgery
 was shared between droop and bpd_min_droop (the pop and insert digests:
-before the column move became one tile table).  A change to any of them is a
+before the column move became one tile table; the Monk digests: before
+the cascade followed its pipes instead of tracing the grid).  A change to any of them is a
 change to the moves' outputs.
 """
 
 import hashlib
 import itertools
 
+import pytest
+
 from pipedreams import MoveError, Permutation, enumerate_bpds, symmetric_group
 from pipedreams.bumpless import bpd_insert, bpd_pop, iter_bpds
 from pipedreams.monk import bpd_min_droop
+from pipedreams.verify import MODELS, _moves
 
 
 def _digest(lines):
@@ -104,3 +109,25 @@ def test_insert_every_letter_and_row_into_s5():
     assert _digest(sorted(lines)) == (
         "ca1050c32fd679e51c4e48671549ba050bd6945a3f74c36dcb39297123d33b54"
     )
+
+
+@pytest.mark.parametrize(
+    "n, count, digest",
+    [
+        (4, 421, "c43075171a48e6e4d9654faaca14853b3b3d475130afa03f614229391371c21f"),
+        (5, 5266, "073d9bbb9a429207b453a13c0fb23ddc048a77cdb0090da3e691197f838ce51f"),
+    ],
+)
+def test_every_monk_move_of_the_verify_harness(n, count, digest):
+    lines, bases = [], {}
+    for _, base, move, _ in _moves(n):
+        if base not in bases:
+            bases[base] = sorted(enumerate_bpds(base), key=lambda b: b.rows)
+        for b in bases[base]:
+            out, tr = MODELS["bpd"].apply(b, move)
+            lines.append(
+                f"{_grid(b)} {move} {_grid(out)} {tr.steps} {tr.footprints} "
+                f"{tr.result_l}"
+            )
+    assert len(lines) == count
+    assert _digest(sorted(lines)) == digest
