@@ -9,6 +9,7 @@ invertible by inserting the pairs back in reverse order.
 from pipedreams import (
     BumplessPipeDream,
     Permutation,
+    bpd_pop,
     phi,
     phi_inverse,
     render,
@@ -21,9 +22,11 @@ def main():
     print("Rothe diagram of", pi)
     print(render(start, pretty=True))
 
-    result = phi(start, keep_intermediates=True)
+    result = phi(start)
     print("\npop trail (letter, row):", result.pops)
-    for step, diagram in zip(result.pops, result.intermediates[1:]):
+    diagram = start
+    for step in result.pops:
+        diagram = bpd_pop(diagram).result
         print(f"\nafter popping {step}:")
         print(render(diagram, pretty=True))
 

@@ -17,12 +17,11 @@ from .pipedream import CompatibleSequence, PipeDream
 class PhiResult:
     """A compatible sequence plus the trail that produced it."""
 
-    __slots__ = ("sequence", "pops", "intermediates")
+    __slots__ = ("sequence", "pops")
 
-    def __init__(self, sequence, pops, intermediates=None):
+    def __init__(self, sequence, pops):
         self.sequence = sequence
         self.pops = pops
-        self.intermediates = intermediates
 
     def pipe_dream(self) -> PipeDream:
         return self.sequence.to_pipe_dream()
@@ -31,7 +30,7 @@ class PhiResult:
         return f"PhiResult({self.sequence!r})"
 
 
-def phi(diagram: BumplessPipeDream, keep_intermediates: bool = False) -> PhiResult:
+def phi(diagram: BumplessPipeDream) -> PhiResult:
     """Map a bumpless diagram to its compatible sequence.
 
     >>> rothe = BumplessPipeDream.rothe(Permutation([3, 2, 1]))
@@ -40,17 +39,14 @@ def phi(diagram: BumplessPipeDream, keep_intermediates: bool = False) -> PhiResu
     """
     cur = diagram
     pops = []
-    intermediates = [cur] if keep_intermediates else None
     while not cur.perm().is_identity():
         step = bpd_pop(cur)
         pops.append((step.a, step.r))
         cur = step.result
-        if keep_intermediates:
-            intermediates.append(cur)
     sequence = CompatibleSequence(
         (a for a, _ in pops), (r for _, r in pops)
     )
-    return PhiResult(sequence, tuple(pops), intermediates)
+    return PhiResult(sequence, tuple(pops))
 
 
 def phi_inverse(diagram: PipeDream) -> BumplessPipeDream:

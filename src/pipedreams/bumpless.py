@@ -48,13 +48,56 @@ _MASK = {
     for letter, segs in _SEGMENTS.items()
 }
 _COUNT = {letter: len(segs) for letter, segs in _SEGMENTS.items()}
-# (letter, entering edge) -> (segment, leaving edge) for a pipe walk.
+# Leaving edge -> (row step, column step, edge entered in the next tile).
+_LEAVE = {"N": (-1, 0, "S"), "E": (0, 1, "W"), "S": (1, 0, "N"), "W": (0, -1, "E")}
+# (letter, entering edge) -> (segment, row step, column step, next entering
+# edge) for a pipe walk.
 _STEP = {
-    (letter, e): (seg, out)
+    (letter, e): (seg, *_LEAVE[out])
     for letter, segs in _SEGMENTS.items()
     for seg in segs
     for e, out in (_EDGES[seg], _EDGES[seg][::-1])
 }
+
+
+def _walk(rows, i, j, entering, strand, k):
+    """Follow the pipe that enters tile (i, j) through edge entering until
+    it leaves the grid: forwards (north and east) from S or W, backwards
+    (south and west) from N or E.  Sets strand[(i, j, segment)] = k on each
+    segment passed and returns the last (i, j, segment)."""
+    n = len(rows)
+    while True:
+        t = rows[i - 1][j - 1]
+        step = _STEP.get((t, entering))
+        if step is None:
+            raise InvalidDiagramError(
+                f"pipe meets tile {t!r} at {(i, j)} with no {entering} edge"
+            )
+        seg, di, dj, entering = step
+        strand[(i, j, seg)] = k
+        if not (0 < i + di <= n and 0 < j + dj <= n):
+            return i, j, seg
+        i += di
+        j += dj
+
+
+def _source(rows, i, j, edge):
+    """The column where the pipe leaving (i, j) through edge N or E enters
+    the grid from the south, found by walking it backwards."""
+    _, col, seg = _walk(rows, i, j, edge, {}, 0)
+    if seg not in ("NS", "SE"):
+        raise InvariantError(f"pipe at {(i, j)} does not enter from the south")
+    return col
+
+
+def _crossings(rows, p, q):
+    """The sorted tiles where pipes p and q, by entry column, cross: the
+    only tiles that hold both a vertical and a horizontal run are '+'."""
+    strand = {}
+    for k in (p, q):
+        _walk(rows, len(rows), k, "S", strand, k)
+    both = [(i, j) for i, j, seg in strand if seg == "NS" and (i, j, "EW") in strand]
+    return sorted(both)
 
 
 # How a droop of the turn at (a, b) to (c, d) rewrites the border of the
@@ -162,14 +205,12 @@ def _move_strip(
 
 
 class BpdTrace:
-    """The permutation of a diagram, the pipe on each segment, and where
-    each pair of pipes crosses."""
+    """The permutation of a diagram and where each pair of pipes crosses."""
 
-    __slots__ = ("perm", "strand", "pair_crossings")
+    __slots__ = ("perm", "pair_crossings")
 
-    def __init__(self, perm, strand, pair_crossings):
+    def __init__(self, perm, pair_crossings):
         self.perm = perm
-        self.strand = strand
         self.pair_crossings = pair_crossings
 
 
@@ -287,12 +328,12 @@ class BumplessPipeDream:
             exp[i - 1] += 1
         return SparsePolynomial.monomial(exp)
 
-    def trace(self, allow_bump: bool = False) -> BpdTrace:
+    def trace(self) -> BpdTrace:
         """Follow every pipe; raises InvalidDiagramError on malformed grids."""
         rows = self.rows
         n = len(rows)
         for i, row in enumerate(rows, 1):
-            if not allow_bump and "b" in row:
+            if "b" in row:
                 raise InvalidDiagramError(f"bump tile at {(i, row.index('b') + 1)}")
         masks = [[_MASK[ch] for ch in row] for row in rows]
         # Border consistency: no segment may poke through the north or west
@@ -320,32 +361,10 @@ class BumplessPipeDream:
         word = [0] * n  # word[row - 1] is the pipe leaving through that row
         strand: dict[tuple[int, int, str], int] = {}
         for k in range(1, n + 1):
-            i, j = n, k
-            entering = "S"
-            for _ in range(2 * n * n + 2):
-                t = rows[i - 1][j - 1]
-                step = _STEP.get((t, entering))
-                if step is None:
-                    raise InvalidDiagramError(
-                        f"pipe meets tile {t!r} at {(i, j)} with no {entering} edge"
-                    )
-                seg, out = step
-                strand[(i, j, seg)] = k
-                if out == "N":
-                    i -= 1
-                    entering = "S"
-                elif out == "E":
-                    j += 1
-                    entering = "W"
-                else:  # pragma: no cover
-                    raise InvariantError("pipe moved south or west")
-                if i < 1:
-                    raise InvalidDiagramError(f"pipe {k} escaped through the top")
-                if j > n:
-                    word[i - 1] = k
-                    break
-            else:  # pragma: no cover
-                raise InvariantError("pipe trace did not terminate")
+            i, _, seg = _walk(rows, n, k, "S", strand, k)
+            if seg in ("NS", "NW"):
+                raise InvalidDiagramError(f"pipe {k} escaped through the top")
+            word[i - 1] = k
         if 0 in word:
             raise InvalidDiagramError("two pipes exit through the same row")
         # Every segment of the grid must lie on some pipe.  strand holds
@@ -366,7 +385,6 @@ class BumplessPipeDream:
                     pair_crossings.setdefault(pair, []).append((i, j))
         return BpdTrace(
             Permutation(word),
-            strand,
             {p: tuple(sorted(v)) for p, v in pair_crossings.items()},
         )
 

@@ -10,7 +10,7 @@ partition the diagrams of all pi t_{a,l}.
 
 from __future__ import annotations
 
-from .bumpless import BumplessPipeDream, _droop_rows
+from .bumpless import BumplessPipeDream, _crossings, _droop_rows, _source, _walk
 from .errors import InvariantError, MoveError
 from .perm import Permutation
 from .pipedream import PipeDream, trace_pipes
@@ -95,9 +95,8 @@ def _finish(kind, params, base, position, out, steps, footprints, complete):
     )
 
 
-def _unique_crossing(trace, pair: frozenset) -> tuple[int, int]:
-    """The one position where the two pipes of pair cross in a trace."""
-    positions = trace.pair_crossings.get(pair, ())
+def _unique_crossing(pair, positions) -> tuple[int, int]:
+    """The one position in positions, where the two pipes of pair cross."""
     if len(positions) != 1:
         raise InvariantError(f"pipes {sorted(pair)} cross at {positions}")
     return positions[0]
@@ -123,25 +122,18 @@ def bpd_min_droop(
     (('.r', 'rb'), (2, 2))
     """
     a, b = pos
-    cur = diagram
-    if cur.tile(a, b) not in "rb":
+    n = diagram.n
+    if diagram.tile(a, b) not in "rb":
         raise MoveError(f"no southeast turn at {pos}")
-    x = 1
-    while True:
-        if a + x > cur.n:
-            cur = cur.grow_to(a + x)
-        if cur.tile(a + x, b) != "+":
-            break
+    # Tiles the growth adds next to the grid are '|' and '-', never '+'.
+    x = y = 1
+    while a + x <= n and diagram.tile(a + x, b) == "+":
         x += 1
-    y = 1
-    while True:
-        if b + y > cur.n:
-            cur = cur.grow_to(b + y)
-        if cur.tile(a, b + y) != "+":
-            break
+    while b + y <= n and diagram.tile(a, b + y) == "+":
         y += 1
     far = (a + x, b + y)
-    return BumplessPipeDream(_droop_rows(cur.rows, pos, far)), far
+    rows = diagram.grow_to(max(far)).rows
+    return BumplessPipeDream(_droop_rows(rows, pos, far)), far
 
 
 def bpd_cross_bump_swap(
@@ -154,14 +146,9 @@ def bpd_cross_bump_swap(
         raise MoveError(f"no bump at {bump}")
     if diagram.tile(*cross) != "+":
         raise MoveError(f"no crossing at {cross}")
-    trace = diagram.trace(allow_bump=True)
-    bump_pair = frozenset(
-        {trace.strand[(*bump, "SE")], trace.strand[(*bump, "NW")]}
-    )
-    cross_pair = frozenset(
-        {trace.strand[(*cross, "NS")], trace.strand[(*cross, "EW")]}
-    )
-    if bump_pair != cross_pair:
+    # The pipes leaving a bump or a crossing through its N and E edges.
+    pairs = [{_source(diagram.rows, i, j, e) for e in "NE"} for i, j in (bump, cross)]
+    if pairs[0] != pairs[1]:
         raise MoveError(
             f"tiles at {bump} and {cross} belong to different pipe pairs"
         )
@@ -193,27 +180,24 @@ def _bpd_cascade(
         steps.append(("min_droop", (pos, corner)))
         footprints.append(pos)
         t = cur.tile(*corner)
-        trace = cur.trace(allow_bump=True)
         if t == "j":
-            row = corner[0]
-            turns = [
-                (row, j)
-                for j in range(1, cur.n + 1)
-                if trace.strand.get((row, j, "SE")) == tracked
-            ]
-            if len(turns) != 1:
+            # The tracked pipe now turns east where it enters the corner row.
+            path = {}
+            _, col, seg = _walk(cur.rows, *corner, "N", path, tracked)
+            if col != tracked or seg not in ("NS", "SE"):
                 raise InvariantError(
-                    f"tracked pipe {tracked} has turns {turns} in row {corner[0]}"
+                    f"the pipe at {corner} does not enter in column {tracked}"
                 )
-            pos = turns[0]
+            pos = next((i, j) for i, j, seg in path if seg == "SE")
         elif t == "b":
-            pair = frozenset({tracked, trace.strand[(*corner, "SE")]})
-            if pair not in trace.pair_crossings:
+            pair = (tracked, _source(cur.rows, *corner, "E"))
+            positions = _crossings(cur.rows, *pair)
+            if not positions:
                 cur = _set_tiles(cur, (corner, "+"))
                 steps.append(("bump_to_cross", (corner,)))
                 footprints.append(corner)
                 return cur.trim(), steps, footprints, None
-            cross = _unique_crossing(trace, pair)
+            cross = _unique_crossing(pair, positions)
             cur = bpd_cross_bump_swap(cur, corner, cross)
             steps.append(("cross_bump_swap", (corner, cross)))
             footprints.append(cross)
@@ -234,7 +218,8 @@ def _bpd_x(diagram: BumplessPipeDream, pi: Permutation, alpha: int):
 
 
 def _bpd_m(diagram: BumplessPipeDream, pi: Permutation, s: int, beta: int):
-    pos = _unique_crossing(diagram.trace(), frozenset({pi(s), pi(beta)}))
+    pair = (pi(s), pi(beta))
+    pos = _unique_crossing(pair, _crossings(diagram.rows, *pair))
     cur = _set_tiles(diagram, (pos, "b"))
     return _bpd_cascade(cur, pos, pi(beta), [("cross_to_bump", (pos,))], [pos])
 
@@ -338,9 +323,9 @@ def _pd_x(diagram: PipeDream, pi: Permutation, alpha: int):
 
 
 def _pd_m(diagram: PipeDream, pi: Permutation, s: int, beta: int):
-    pos = _unique_crossing(
-        trace_pipes(diagram.crosses), frozenset({pi(s), pi(beta)})
-    )
+    pair = frozenset({pi(s), pi(beta)})
+    crossings = trace_pipes(diagram.crosses).pair_crossings
+    pos = _unique_crossing(pair, crossings.get(pair, ()))
     crosses = set(diagram.crosses)
     steps, footprints, complete = [], [], []
     last = _pd_shift(crosses, pi, pos, steps, footprints, complete)

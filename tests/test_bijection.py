@@ -35,18 +35,6 @@ def test_phi_of_rothe_321():
     assert res.pipe_dream() == PipeDream([(1, 1), (1, 2), (2, 1)])
 
 
-def test_phi_intermediates():
-    d = BumplessPipeDream.rothe(Permutation((3, 2, 1)))
-    res = phi(d, keep_intermediates=True)
-    assert len(res.intermediates) == 4
-    assert res.intermediates[0] == d
-    assert res.intermediates[-1] == BumplessPipeDream.identity(1)
-    for step, (a, _) in zip(range(3), res.pops):
-        before = res.intermediates[step].perm()
-        after = res.intermediates[step + 1].perm()
-        assert after == before.left_s(a)
-
-
 def test_phi_inverse_fixture():
     assert phi_inverse(PipeDream([(1, 1)])).rows == (".r", "r+")
 

@@ -3,6 +3,7 @@ pop, and insert."""
 
 import ast
 import copy
+import itertools
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,9 @@ from pipedreams import (
     schubert_polynomial,
     symmetric_group,
 )
+from pipedreams.bumpless import _crossings
 from pipedreams.poly import SparsePolynomial
+from pipedreams.verify import MODELS, _moves
 
 ORACLE_4 = brute_bpds(4)
 
@@ -131,9 +134,9 @@ def traced(monkeypatch):
     calls = []
     real = BumplessPipeDream.trace
 
-    def counting(self, allow_bump=False):
+    def counting(self):
         calls.append(self.rows)
-        return real(self, allow_bump)
+        return real(self)
 
     monkeypatch.setattr(BumplessPipeDream, "trace", counting)
     return calls
@@ -163,6 +166,29 @@ def test_phi_traces_each_grid_of_the_pop_chain_once(traced):
         traced.clear()
         phi(BumplessPipeDream(rows))
         assert len(traced) <= pi.length() + 1, rows
+
+
+def test_every_bumpless_move_of_s4_traces_only_its_input_and_output(traced):
+    # The cascade follows single pipes; only the frame validates, the input
+    # (unless its permutation is kept) and the output.
+    for _, base, move, _ in _moves(4):
+        for b in enumerate_bpds(base):
+            d = BumplessPipeDream(b.rows)
+            traced.clear()
+            out, _ = MODELS["bpd"].apply(d, move)
+            assert traced == [d.rows, out.rows], (d.rows, move)
+            traced.clear()
+            MODELS["bpd"].apply(d, move)
+            assert traced == [out.rows], (d.rows, move)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_crossings_match_oracle(n):
+    for rows in brute_grids(n):
+        pair_cells = trace_grid(rows)[1]
+        for p, q in itertools.permutations(range(1, n + 1), 2):
+            cells = sorted(pair_cells.get(frozenset({p, q}), []))
+            assert _crossings(rows, p, q) == cells, (rows, p, q)
 
 
 def test_trim_carries_the_validated_permutation(traced):
@@ -210,7 +236,6 @@ def test_malformed_grid_raises_on_every_validate():
 
 def test_bump_validate_does_not_admit_a_later_plain_validate():
     d = BumplessPipeDream((".r", "rb"))
-    assert d.trace(allow_bump=True).perm == d.trace(allow_bump=True).perm
     for _ in range(2):
         with pytest.raises(InvalidDiagramError, match="bump tile"):
             d.validate()
@@ -261,7 +286,6 @@ def test_bump_tile_only_with_flag():
     rows = (".r", "rb")
     with pytest.raises(InvalidDiagramError):
         BumplessPipeDream(rows).validate()
-    BumplessPipeDream(rows).trace(allow_bump=True)
 
 
 def test_grow_and_trim_roundtrip():

@@ -1,14 +1,18 @@
 """Tests for the insertion moves on both diagram models."""
 
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from pipedreams import (
     BumplessPipeDream,
+    InvalidDiagramError,
+    InvariantError,
     MoveError,
     Permutation,
     PipeDream,
@@ -26,6 +30,8 @@ from pipedreams import (
     phi,
     symmetric_group,
 )
+from pipedreams import monk
+from pipedreams.bumpless import iter_bpds
 from pipedreams.verify import MODELS
 
 
@@ -113,6 +119,63 @@ def test_bpd_m_move_rejects_non_cover():
         bpd_m_move(d, 1, 3)  # 321*t_{1,3} drops two lengths
     with pytest.raises(ValueError):
         bpd_m_move(d, 2, 2)
+
+
+@pytest.mark.parametrize("old, new", [(".", "+"), ("+", "|"), ("r", "."), ("+", "b")])
+def test_a_corrupted_min_droop_step_raises(monkeypatch, old, new):
+    # The cascade traces none of its steps: the pipe walks, the droop tables
+    # and the validation of the output must still refuse one bad tile.
+    real = monk.bpd_min_droop
+    corrupted = []
+
+    def corrupting(diagram, pos):
+        out, corner = real(diagram, pos)
+        if corrupted or old not in "".join(out.rows):
+            return out, corner
+        corrupted.append(pos)
+        rows = "/".join(out.rows).replace(old, new, 1)
+        return BumplessPipeDream(rows.split("/")), corner
+
+    monkeypatch.setattr(monk, "bpd_min_droop", corrupting)
+    raised = 0
+    for pi in symmetric_group(4):
+        for d in enumerate_bpds(pi):
+            for alpha in range(1, 5):
+                corrupted.clear()
+                try:
+                    bpd_x_insert(d, alpha)
+                except (InvalidDiagramError, InvariantError, MoveError):
+                    raised += 1
+                    continue
+                assert not corrupted, (d.rows, alpha)
+    assert raised > 100
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([7, 8]).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.integers(min_value=0, max_value=29),
+)
+def test_moves_commute_with_phi_on_s7_s8(word, index):
+    # Per diagram what Atlas.commutes checks over all diagrams of a base.
+    sigma = Permutation(word)
+    grids = list(itertools.islice(iter_bpds(sigma), 30))
+    b = grids[index % len(grids)]
+    image = phi(b).pipe_dream()
+    n = len(word)
+    moves = [(("x", alpha), sigma, alpha) for alpha in range(1, n + 1)]
+    for s, beta in itertools.combinations(range(1, n + 1), 2):
+        pi = sigma.right_t(s, beta)
+        if pi.length() == sigma.length() - 1:
+            moves.append((("m", s, beta), pi, beta))
+    for move, base, position in moves:
+        out, tr = MODELS["bpd"].apply(b, move)
+        assert BumplessPipeDream(out.rows).validate() == base.right_t(
+            position, tr.result_l
+        )
+        via_pd = MODELS["pd"].apply(image, move)[0]
+        assert phi(out).pipe_dream() == via_pd, (b.rows, move)
 
 
 @pytest.mark.parametrize("pi", list(symmetric_group(3)))
