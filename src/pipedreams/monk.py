@@ -122,18 +122,18 @@ def bpd_min_droop(
     (('.r', 'rb'), (2, 2))
     """
     a, b = pos
-    n = diagram.n
     if diagram.tile(a, b) not in "rb":
         raise MoveError(f"no southeast turn at {pos}")
     # Tiles the growth adds next to the grid are '|' and '-', never '+'.
     x = y = 1
-    while a + x <= n and diagram.tile(a + x, b) == "+":
+    while a + x <= diagram.n and diagram.tile(a + x, b) == "+":
         x += 1
-    while b + y <= n and diagram.tile(a, b + y) == "+":
+    while b + y <= diagram.n and diagram.tile(a, b + y) == "+":
         y += 1
     far = (a + x, b + y)
-    rows = diagram.grow_to(max(far)).rows
-    return BumplessPipeDream(_droop_rows(rows, pos, far)), far
+    if max(far) > diagram.n:
+        diagram = diagram.grow_to(max(far))
+    return BumplessPipeDream(_droop_rows(diagram.rows, pos, far)), far
 
 
 def bpd_cross_bump_swap(
@@ -183,8 +183,8 @@ def _bpd_cascade(
         if t == "j":
             # The tracked pipe now turns east where it enters the corner row.
             path = {}
-            _, col, seg = _walk(cur.rows, *corner, "N", path, tracked)
-            if col != tracked or seg not in ("NS", "SE"):
+            _, col, last = _walk(cur.rows, *corner, "N", path, tracked)
+            if col != tracked or last not in ("NS", "SE"):
                 raise InvariantError(
                     f"the pipe at {corner} does not enter in column {tracked}"
                 )
