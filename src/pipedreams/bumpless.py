@@ -60,7 +60,7 @@ _STEP = {
 }
 
 
-def _walk(rows, i, j, entering, strand, k):
+def _walk(rows: tuple, i: int, j: int, entering: str, strand: dict, k: int) -> tuple:
     """Follow the pipe that enters tile (i, j) through edge entering until
     it leaves the grid: forwards (north and east) from S or W, backwards
     (south and west) from N or E.  Sets strand[(i, j, segment)] = k on each
@@ -81,7 +81,7 @@ def _walk(rows, i, j, entering, strand, k):
         j += dj
 
 
-def _source(rows, i, j, edge):
+def _source(rows: tuple[str, ...], i: int, j: int, edge: str) -> int:
     """The column where the pipe leaving (i, j) through edge N or E enters
     the grid from the south, found by walking it backwards."""
     _, col, seg = _walk(rows, i, j, edge, {}, 0)
@@ -90,7 +90,7 @@ def _source(rows, i, j, edge):
     return col
 
 
-def _crossings(rows, p, q):
+def _crossings(rows: tuple[str, ...], p: int, q: int) -> list[tuple[int, int]]:
     """The sorted tiles where pipes p and q, by entry column, cross: the
     only tiles that hold both a vertical and a horizontal run are '+'."""
     strand = {}

@@ -6,9 +6,9 @@ x and m move of S4 and S5.
 Each digest is the sha256 of sorted (or, for iter_bpds, visiting-order)
 text lines, one per case, recorded from the code before the droop surgery
 was shared between droop and bpd_min_droop (the pop and insert digests:
-before the column move became one tile table; the Monk digests: before
-the cascade followed its pipes instead of tracing the grid).  A change to any of them is a
-change to the moves' outputs.
+before the column move became one tile table; the Monk digests: before the
+cascade followed its pipes instead of tracing the grid).  A change to any
+of them is a change to the moves' outputs.
 """
 
 import hashlib
