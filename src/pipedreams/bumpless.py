@@ -302,12 +302,17 @@ class BumplessPipeDream:
         while len(rows) < m:
             n = len(rows)
             rows = tuple(row + "-" for row in rows) + ("|" * n + "r",)
-        return BumplessPipeDream(rows)
+        return self if rows is self.rows else self._reborder(rows)
 
     def trim(self) -> "BumplessPipeDream":
-        """Strip the identity borders.  They hold no blank and no cross, so
-        the permutation of a validated grid carries over untraced."""
-        out = BumplessPipeDream(_trim_rows(self.rows))
+        """Strip the identity borders."""
+        return self._reborder(_trim_rows(self.rows))
+
+    def _reborder(self, rows: tuple[str, ...]) -> "BumplessPipeDream":
+        """The grid of rows, which differ from self's by identity borders.
+        Those hold no blank and no cross, so the permutation of a validated
+        grid carries over untraced."""
+        out = BumplessPipeDream(rows)
         if self._perm is not None and self._perm[0] is self.rows:
             out._perm = (out.rows, self._perm[1])
         return out
@@ -315,9 +320,9 @@ class BumplessPipeDream:
     def blanks(self) -> list[tuple[int, int]]:
         return [
             (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if self.tile(i, j) == "."
+            for i, row in enumerate(self.rows, 1)
+            for j, ch in enumerate(row, 1)
+            if ch == "."
         ]
 
     def weight(self) -> SparsePolynomial:
@@ -433,7 +438,17 @@ class BumplessPipeDream:
             raise MoveError(f"destination {(c, d)} is not blank")
         if self.tile(c, b) != "|" or self.tile(a, d) != "-":
             raise MoveError(f"droop needs '|' at {(c, b)} and '-' at {(a, d)}")
-        result = BumplessPipeDream(_droop_rows(self.rows, corner, dest))
+        return self._droop_unseen(corner, dest, set())
+
+    def _droop_unseen(self, corner, dest, seen: set) -> Optional["BumplessPipeDream"]:
+        """droop() past its tile checks, or None if its rows are in seen,
+        where it adds them: rows there were validated, from a grid of the
+        same permutation, when first reached."""
+        rows = _droop_rows(self.rows, corner, dest)
+        if rows in seen:
+            return None
+        seen.add(rows)
+        result = BumplessPipeDream(rows)
         try:
             new_pi = result.validate()
         except InvalidDiagramError as exc:
@@ -600,31 +615,27 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
 
 
 def iter_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
-    """Generate all bumpless pipe dreams of pi by closing Rothe under droops."""
-    n = max(pi.size, 1)
-    start = BumplessPipeDream.rothe(pi, n)
+    """Generate all bumpless pipe dreams of pi by closing Rothe under droops.
+
+    Each turn tries the blanks where droop() finds its '|' and '-'."""
+    start = BumplessPipeDream.rothe(pi, max(pi.size, 1))
     seen = {start.rows}
     queue = [start]
     while queue:
         cur = queue.pop()
         yield cur
-        corners = [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if cur.tile(i, j) == "r"
-        ]
+        rows = cur.rows
         blanks = cur.blanks()
-        for corner in corners:
-            for dest in blanks:
-                if dest[0] > corner[0] and dest[1] > corner[1]:
-                    try:
-                        nxt = cur.droop(corner, dest)
-                    except MoveError:
-                        continue
-                    if nxt.rows not in seen:
-                        seen.add(nxt.rows)
-                        queue.append(nxt)
+        for a, row in enumerate(rows, 1):
+            for b in [j for j, t in enumerate(row, 1) if t == "r"]:
+                for c, d in blanks:
+                    if c > a and d > b and rows[c - 1][b - 1] == "|" and row[d - 1] == "-":
+                        try:
+                            nxt = cur._droop_unseen((a, b), (c, d), seen)
+                        except MoveError:
+                            continue
+                        if nxt is not None:
+                            queue.append(nxt)
 
 
 def enumerate_bpds(pi: Permutation) -> frozenset[BumplessPipeDream]:

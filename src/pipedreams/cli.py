@@ -24,7 +24,8 @@ from .verify import CHECK_GROUPS, MODELS, model_of, run_checks
 
 _DEFAULT_MAX_GROUP = 4
 # Grids grow with a move's arguments and with a pd cross's diagonal
-# r + c - 1; refusing larger values keeps time and output bounded.
+# r + c - 1, and a bpd payload is a grid; refusing larger values keeps time
+# and output bounded.
 _MAX_COORD = 64
 
 
@@ -59,6 +60,8 @@ def _parse_diagram(data):
     if not isinstance(model, str) or model not in MODELS:
         raise ValueError(f"unknown diagram model {model!r}")
     diagram = MODELS[model].cls.from_json(data)
+    if isinstance(diagram, BumplessPipeDream):
+        _check_bound("the grid size n", diagram.n)
     for r, c in getattr(diagram, "crosses", ()):
         _check_bound(f"r + c - 1 of the cross {[r, c]}", r + c - 1)
     return diagram

@@ -197,8 +197,9 @@ def _bpd_cascade(
                 steps.append(("bump_to_cross", (corner,)))
                 footprints.append(corner)
                 return cur.trim(), steps, footprints, None
+            # The pair and its crossing are known: no bpd_cross_bump_swap proof.
             cross = _unique_crossing(pair, positions)
-            cur = bpd_cross_bump_swap(cur, corner, cross)
+            cur = _set_tiles(cur, (corner, "+"), (cross, "b"))
             steps.append(("cross_bump_swap", (corner, cross)))
             footprints.append(cross)
             pos = cross

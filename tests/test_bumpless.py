@@ -19,6 +19,7 @@ from pipedreams import (
     Permutation,
     bpd_insert,
     bpd_pop,
+    bpd_x_insert,
     enumerate_bpds,
     enumerate_pipe_dreams,
     phi,
@@ -31,6 +32,7 @@ from pipedreams.poly import SparsePolynomial
 from pipedreams.verify import MODELS, _moves
 
 ORACLE_4 = brute_bpds(4)
+ORACLE_5 = brute_bpds(5)
 
 
 def test_identity_grids():
@@ -206,6 +208,42 @@ def test_trim_carries_the_validated_permutation(traced):
     assert traced == [fresh.rows]
 
 
+def test_grow_to_copies_nothing_and_carries_the_validated_permutation(traced):
+    pi = Permutation.parse("2153746")
+    d = BumplessPipeDream.rothe(pi)
+    assert d.grow_to(d.n) is d and d.grow_to(1) is d
+    assert d.validate() == pi
+    traced.clear()
+    grown = d.grow_to(9)
+    assert grown.n == 9
+    assert grown.validate() is d.validate()
+    assert traced == []
+
+
+def test_x_move_neither_copies_nor_retraces_its_input(traced, monkeypatch):
+    grown = []
+    real = BumplessPipeDream.grow_to
+
+    def spy(self, m):
+        grown.append((self, real(self, m)))
+        return grown[-1][1]
+
+    monkeypatch.setattr(BumplessPipeDream, "grow_to", spy)
+    d = BumplessPipeDream.rothe(Permutation.parse("2153746"))
+    d.validate()
+    traced.clear()
+    out, _ = bpd_x_insert(d, 2)
+    assert grown[0][0] is grown[0][1] is d
+    assert traced == [out.rows]
+
+
+def test_enumeration_traces_no_grid_twice(traced):
+    # A droop landing on rows already visited is not validated again.
+    enumerate_bpds(Permutation.parse("21786534"))
+    assert len(traced) == len(set(traced))
+    assert len(traced) <= 1600
+
+
 def test_every_diagram_of_an_enumeration_shares_one_permutation():
     diagrams = enumerate_bpds(Permutation.parse("2153746"))
     perms = {id(d.validate()) for d in diagrams}
@@ -311,10 +349,14 @@ def test_json_roundtrip():
     assert BumplessPipeDream.from_json(data) == d
 
 
-@pytest.mark.parametrize("pi", list(symmetric_group(4)))
+@pytest.mark.parametrize(
+    "pi",
+    list(symmetric_group(4)) + [pi for pi in symmetric_group(5) if pi.size == 5],
+)
 def test_enumeration_matches_brute_force(pi):
     lib = {d.rows for d in enumerate_bpds(pi)}
-    assert lib == ORACLE_4.get(pi.word, set())
+    oracle = ORACLE_4 if pi.size <= 4 else ORACLE_5
+    assert lib == oracle.get(pi.word, set())
 
 
 @pytest.mark.parametrize("pi", list(symmetric_group(4)))

@@ -1,11 +1,13 @@
 """Golden digests of the bumpless moves: the order in which iter_bpds
-visits grids, every droop that succeeds on S5, every min-droop on S4, every
+visits grids (a prefix of the anchor, and every permutation of S5 and S6),
+every droop that succeeds on S5, every min-droop on S4, every
 pop step of the pop chains of S5, every insertion into S5, and every Monk
 x and m move of S4 and S5.
 
 Each digest is the sha256 of sorted (or, for iter_bpds, visiting-order)
 text lines, one per case, recorded from the code before the droop surgery
-was shared between droop and bpd_min_droop (the pop and insert digests:
+was shared between droop and bpd_min_droop (the S5 and S6 orders: before
+iter_bpds picked its droops by tile; the pop and insert digests:
 before the column move became one tile table; the Monk digests: before the
 cascade followed its pipes instead of tracing the grid).  A change to any
 of them is a change to the moves' outputs.
@@ -44,6 +46,21 @@ def test_iter_bpds_visits_the_anchor_in_the_same_order():
     assert _digest(map(_grid, grids)) == (
         "ea74ebfa84f6809060af47937b3e6f186f274f6a01c1c776e7160a836926f494"
     )
+
+
+@pytest.mark.parametrize(
+    "n, count, digest",
+    [
+        (5, 393, "ac125981c0322a435f431fb5a53c61d736d8540e6dc01b236685d7670f97f4c6"),
+        (6, 6080, "9a14dacc228b05878a1f9953ef60f2d97f6c9550e4ae022afa7532cf411209d4"),
+    ],
+)
+def test_iter_bpds_visits_every_permutation_in_the_same_order(n, count, digest):
+    lines = [
+        f"{pi} {_grid(d)}" for pi in symmetric_group(n) for d in iter_bpds(pi)
+    ]
+    assert len(lines) == count
+    assert _digest(lines) == digest
 
 
 def test_droop_succeeds_on_the_same_pairs_of_s5():

@@ -269,3 +269,27 @@ def test_inputs_at_the_bound_are_accepted(tmp_path, capsys):
     assert run(capsys, "monk", "x", path, "--alpha", "64")[0] == 0
     path = write_json(tmp_path, "e.json", {"model": "pd", "crosses": [[2, 63]]})
     assert run(capsys, "render", path)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render"],
+        ["pop"],
+        ["insert", "--a", "2", "--r", "1"],
+        ["monk", "x", "--alpha", "1"],
+        ["phi"],
+    ],
+    ids=["render", "pop", "insert", "monk", "phi"],
+)
+@pytest.mark.parametrize("n", [64, 65])
+def test_bpd_grid_size_is_bounded(tmp_path, capsys, argv, n):
+    payload = BumplessPipeDream.rothe(Permutation((2, 1)), n).to_json()
+    argv = list(argv)
+    argv.insert(2 if argv[0] == "monk" else 1, write_json(tmp_path, "d.json", payload))
+    code, out, err = run(capsys, *argv)
+    if n == 64:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error: the grid size n = 65 exceeds the bound 64\n"
