@@ -1,24 +1,33 @@
 """Golden digests of the bumpless moves: the order in which iter_bpds
 visits grids (a prefix of the anchor, and every permutation of S5 and S6),
 every droop that succeeds on S5, every min-droop on S4, every
-pop step of the pop chains of S5, every insertion into S5, and every Monk
-x and m move of S4 and S5.
+pop step of the pop chains of S5, every insertion into S5, every Monk
+x and m move of S4 and S5, and the outcome of trace() on 100,000 seeded
+grids, most of them malformed.
 
 Each digest is the sha256 of sorted (or, for iter_bpds, visiting-order)
 text lines, one per case, recorded from the code before the droop surgery
 was shared between droop and bpd_min_droop (the S5 and S6 orders: before
 iter_bpds picked its droops by tile; the pop and insert digests:
 before the column move became one tile table; the Monk digests: before the
-cascade followed its pipes instead of tracing the grid).  A change to any
-of them is a change to the moves' outputs.
+cascade followed its pipes instead of tracing the grid; the trace outcomes:
+before one row sweep replaced the pipe walker).  A change to any of them is
+a change to the moves' outputs.
 """
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from pipedreams import MoveError, Permutation, enumerate_bpds, symmetric_group
+from pipedreams import (
+    BumplessPipeDream,
+    MoveError,
+    Permutation,
+    enumerate_bpds,
+    symmetric_group,
+)
 from pipedreams.bumpless import bpd_insert, bpd_pop, iter_bpds
 from pipedreams.monk import bpd_min_droop
 from pipedreams.verify import MODELS, _moves
@@ -148,3 +157,45 @@ def test_every_monk_move_of_the_verify_harness(n, count, digest):
             )
     assert len(lines) == count
     assert _digest(sorted(lines)) == digest
+
+
+def _trace_outcome(rows):
+    """The permutation and sorted pair crossings of rows, or the exception
+    trace() raises on them."""
+    try:
+        tr = BumplessPipeDream(rows).trace()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{tr.perm} {sorted((sorted(p), c) for p, c in tr.pair_crossings.items())}"
+
+
+def _mutated_grids(count, seed):
+    """Every tenth grid is a random grid of size 1 to 3 over all seven
+    letters; the rest are grids of S6 (sizes 1 to 6) with 1 to 3 tiles
+    rewritten at random, the bump letter included."""
+    rng = random.Random(seed)
+    letters = ".|-rj+b"
+    bases = sorted({d.rows for pi in symmetric_group(6) for d in iter_bpds(pi)})
+    for k in range(count):
+        if k % 10 == 0:
+            n = rng.randint(1, 3)
+            yield tuple(
+                "".join(rng.choice(letters) for _ in range(n)) for _ in range(n)
+            )
+            continue
+        grid = [list(row) for row in rng.choice(bases)]
+        n = len(grid)
+        for _ in range(rng.randint(1, 3)):
+            grid[rng.randrange(n)][rng.randrange(n)] = rng.choice(letters)
+        yield tuple("".join(row) for row in grid)
+
+
+def test_trace_outcomes_of_mutated_grids():
+    lines = [
+        f"{' '.join(rows)} {_trace_outcome(rows)}"
+        for rows in _mutated_grids(100_000, seed=12)
+    ]
+    assert sum("Error: " not in line for line in lines) == 5759
+    assert _digest(lines) == (
+        "502b9e8a0dbcb269059eb69f6de99f8a227db856997884b86e7fe3a7c6ef7940"
+    )
