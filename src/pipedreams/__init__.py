@@ -26,7 +26,6 @@ from .errors import (
 )
 from .monk import (
     MonkTrace,
-    bpd_cross_bump_swap,
     bpd_m_move,
     bpd_min_droop,
     bpd_x_insert,
@@ -84,7 +83,6 @@ __all__ = [
     "PipeDream",
     "PopResult",
     "SparsePolynomial",
-    "bpd_cross_bump_swap",
     "bpd_insert",
     "bpd_m_move",
     "bpd_min_droop",

@@ -47,57 +47,48 @@ _MASK = {
     letter: sum(_BIT[e] for seg in segs for e in _EDGES[seg])
     for letter, segs in _SEGMENTS.items()
 }
-_COUNT = {letter: len(segs) for letter, segs in _SEGMENTS.items()}
-# Leaving edge -> (row step, column step, edge entered in the next tile).
-_LEAVE = {"N": (-1, 0, "S"), "E": (0, 1, "W"), "S": (1, 0, "N"), "W": (0, -1, "E")}
-# (letter, entering edge) -> (segment, row step, column step, next entering
-# edge) for a pipe walk.
-_STEP = {
-    (letter, e): (seg, *_LEAVE[out])
-    for letter, segs in _SEGMENTS.items()
-    for seg in segs
-    for e, out in (_EDGES[seg], _EDGES[seg][::-1])
-}
 
 
-def _walk(rows: tuple, i: int, j: int, entering: str, strand: dict, k: int) -> tuple:
-    """Follow the pipe that enters tile (i, j) through edge entering until
-    it leaves the grid: forwards (north and east) from S or W, backwards
-    (south and west) from N or E.  Sets strand[(i, j, segment)] = k on each
-    segment passed and returns the last (i, j, segment)."""
+def _sweep(rows: tuple[str, ...], at: Optional[tuple[int, int]] = None) -> tuple:
+    """Read every pipe of rows in one pass, bottom row first and each row
+    from the west.  Pipes run only north and east, so the pipes on a tile's
+    S and W edges are known before it is read: up[j - 1] on the S edge in
+    column j, carry on the W edge.  Pipe k enters column k from the south.
+
+    Returns (word, pairs, pipes): word[i - 1] is the pipe leaving through
+    row i, pairs maps each pair of pipes to the tiles where they cross, in
+    sweep order, and pipes is the (S, W) pair of pipes at the tile at.
+    Raises InvalidDiagramError where a tile's S or W edge does not match the
+    pipes that reach it.  Bump tiles are read, not rejected.
+    """
     n = len(rows)
-    while True:
-        t = rows[i - 1][j - 1]
-        step = _STEP.get((t, entering))
-        if step is None:
-            raise InvalidDiagramError(
-                f"pipe meets tile {t!r} at {(i, j)} with no {entering} edge"
-            )
-        seg, di, dj, entering = step
-        strand[(i, j, seg)] = k
-        if not (0 < i + di <= n and 0 < j + dj <= n):
-            return i, j, seg
-        i += di
-        j += dj
-
-
-def _source(rows: tuple[str, ...], i: int, j: int, edge: str) -> int:
-    """The column where the pipe leaving (i, j) through edge N or E enters
-    the grid from the south, found by walking it backwards."""
-    _, col, seg = _walk(rows, i, j, edge, {}, 0)
-    if seg not in ("NS", "SE"):
-        raise InvariantError(f"pipe at {(i, j)} does not enter from the south")
-    return col
-
-
-def _crossings(rows: tuple[str, ...], p: int, q: int) -> list[tuple[int, int]]:
-    """The sorted tiles where pipes p and q, by entry column, cross: the
-    only tiles that hold both a vertical and a horizontal run are '+'."""
-    strand = {}
-    for k in (p, q):
-        _walk(rows, len(rows), k, "S", strand, k)
-    both = [(i, j) for i, j, seg in strand if seg == "NS" and (i, j, "EW") in strand]
-    return sorted(both)
+    up: list[Optional[int]] = list(range(1, n + 1))
+    word = [0] * n
+    pairs: dict[frozenset[int], list[tuple[int, int]]] = {}
+    pipes = None
+    ai, aj = at or (0, 0)
+    for i in range(n, 0, -1):
+        hit = aj if i == ai else 0
+        carry = None
+        for j, t in enumerate(rows[i - 1], 1):
+            south = up[j - 1]
+            if j == hit:
+                pipes = (south, carry)
+            mask = _MASK[t]
+            if (south is None) == bool(mask & _S) or (carry is None) == bool(
+                mask & _W
+            ):
+                raise InvalidDiagramError(
+                    f"tile {t!r} at {(i, j)} does not meet the pipes reaching it"
+                )
+            if t == "+":
+                pairs.setdefault(frozenset((south, carry)), []).append((i, j))
+            elif t in "rjb":
+                # A turn moves its one pipe between the S and W edges' slots;
+                # a bump swaps its two.
+                up[j - 1], carry = carry, south
+        word[i - 1] = carry
+    return word, pairs, pipes
 
 
 # How a droop of the turn at (a, b) to (c, d) rewrites the border of the
@@ -119,15 +110,17 @@ def _droop_rows(
     rows: tuple[str, ...], corner: tuple[int, int], far: tuple[int, int]
 ) -> tuple[str, ...]:
     """The rows after the turn at corner droops to far, strictly southeast
-    of it.  Raises MoveError where a border tile cannot take its part."""
+    of it.  Raises MoveError where a border tile cannot take its part.
+    Only rows a to c are rebuilt; the others are shared with rows."""
     (a, b), (c, d) = corner, far
-    grid = [list(row) for row in rows]
+    grid = [list(row) for row in rows[a - 1 : c]]
 
     def put(i, j, table):
-        new = table.get(grid[i - 1][j - 1])
+        row = grid[i - a]
+        new = table.get(row[j - 1])
         if new is None:
-            raise MoveError(f"droop meets tile {grid[i - 1][j - 1]!r} at {(i, j)}")
-        grid[i - 1][j - 1] = new
+            raise MoveError(f"droop meets tile {row[j - 1]!r} at {(i, j)}")
+        row[j - 1] = new
 
     put(a, b, _LIFT)
     for t in range(a + 1, c):
@@ -139,7 +132,7 @@ def _droop_rows(
     put(c, b, _TURN_EAST)
     put(a, d, _TURN_NORTH)
     put(c, d, _LAND)
-    return tuple("".join(row) for row in grid)
+    return rows[: a - 1] + tuple("".join(row) for row in grid) + rows[c:]
 
 
 def _first_turn(rows: tuple[str, ...], k: int) -> int:
@@ -334,7 +327,10 @@ class BumplessPipeDream:
         return SparsePolynomial.monomial(exp)
 
     def trace(self) -> BpdTrace:
-        """Follow every pipe; raises InvalidDiagramError on malformed grids."""
+        """Read every pipe; raises InvalidDiagramError on malformed grids.
+
+        The border and edge checks come first and name the first failure;
+        a grid that passes them is read by one row sweep."""
         rows = self.rows
         n = len(rows)
         for i, row in enumerate(rows, 1):
@@ -363,34 +359,11 @@ class BumplessPipeDream:
                         raise InvalidDiagramError(
                             f"mismatched edge between {(i, j)} and {(i + di, j + dj)}"
                         )
-        word = [0] * n  # word[row - 1] is the pipe leaving through that row
-        strand: dict[tuple[int, int, str], int] = {}
-        for k in range(1, n + 1):
-            i, _, seg = _walk(rows, n, k, "S", strand, k)
-            if seg in ("NS", "NW"):
-                raise InvalidDiagramError(f"pipe {k} escaped through the top")
-            word[i - 1] = k
-        if 0 in word:
-            raise InvalidDiagramError("two pipes exit through the same row")
-        # Every segment of the grid must lie on some pipe.  strand holds
-        # traced segments only, so it holds them all iff the counts agree.
-        if len(strand) != sum(_COUNT[ch] for row in rows for ch in row):
-            for i, row in enumerate(rows, 1):
-                for j, ch in enumerate(row, 1):
-                    for seg in _SEGMENTS[ch]:
-                        if (i, j, seg) not in strand:
-                            raise InvalidDiagramError(
-                                f"untraced {seg} segment at {(i, j)}"
-                            )
-        pair_crossings: dict[frozenset[int], list[tuple[int, int]]] = {}
-        for i, row in enumerate(rows, 1):
-            for j, ch in enumerate(row, 1):
-                if ch == "+":
-                    pair = frozenset({strand[(i, j, "NS")], strand[(i, j, "EW")]})
-                    pair_crossings.setdefault(pair, []).append((i, j))
+        # Past these checks every pipe enters from the south, runs north and
+        # east over matched edges, and leaves through a row of its own.
+        word, pairs, _ = _sweep(rows)
         return BpdTrace(
-            Permutation(word),
-            {p: tuple(sorted(v)) for p, v in pair_crossings.items()},
+            Permutation(word), {p: tuple(sorted(v)) for p, v in pairs.items()}
         )
 
     def validate(self) -> Permutation:

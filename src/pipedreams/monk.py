@@ -10,7 +10,7 @@ partition the diagrams of all pi t_{a,l}.
 
 from __future__ import annotations
 
-from .bumpless import BumplessPipeDream, _crossings, _droop_rows, _source, _walk
+from .bumpless import BumplessPipeDream, _droop_rows, _sweep
 from .errors import InvariantError, MoveError
 from .perm import Permutation
 from .pipedream import PipeDream, trace_pipes
@@ -136,25 +136,6 @@ def bpd_min_droop(
     return BumplessPipeDream(_droop_rows(diagram.rows, pos, far)), far
 
 
-def bpd_cross_bump_swap(
-    diagram: BumplessPipeDream,
-    bump: tuple[int, int],
-    cross: tuple[int, int],
-) -> BumplessPipeDream:
-    """Exchange a bump tile and a crossing tile of the same two pipes."""
-    if diagram.tile(*bump) != "b":
-        raise MoveError(f"no bump at {bump}")
-    if diagram.tile(*cross) != "+":
-        raise MoveError(f"no crossing at {cross}")
-    # The pipes leaving a bump or a crossing through its N and E edges.
-    pairs = [{_source(diagram.rows, i, j, e) for e in "NE"} for i, j in (bump, cross)]
-    if pairs[0] != pairs[1]:
-        raise MoveError(
-            f"tiles at {bump} and {cross} belong to different pipe pairs"
-        )
-    return _set_tiles(diagram, (bump, "+"), (cross, "b"))
-
-
 def _set_tiles(diagram: BumplessPipeDream, *changes) -> BumplessPipeDream:
     """The diagram with each (position, letter) of changes written in.
 
@@ -181,23 +162,28 @@ def _bpd_cascade(
         footprints.append(pos)
         t = cur.tile(*corner)
         if t == "j":
-            # The tracked pipe now turns east where it enters the corner row.
-            path = {}
-            _, col, last = _walk(cur.rows, *corner, "N", path, tracked)
-            if col != tracked or last not in ("NS", "SE"):
+            # The tracked pipe now turns east where it enters the corner row,
+            # at the first tile west of the corner that it does not run over.
+            _, _, (_, west) = _sweep(cur.rows, corner)
+            if west != tracked:
                 raise InvariantError(
                     f"the pipe at {corner} does not enter in column {tracked}"
                 )
-            pos = next((i, j) for i, j, seg in path if seg == "SE")
+            i, j = corner
+            j -= 1
+            while cur.rows[i - 1][j - 1] in "-+":
+                j -= 1
+            pos = (i, j)
         elif t == "b":
-            pair = (tracked, _source(cur.rows, *corner, "E"))
-            positions = _crossings(cur.rows, *pair)
+            # The bump's S pipe is the tracked pipe's partner.
+            _, pairs, (partner, _) = _sweep(cur.rows, corner)
+            pair = (tracked, partner)
+            positions = pairs.get(frozenset(pair), ())
             if not positions:
                 cur = _set_tiles(cur, (corner, "+"))
                 steps.append(("bump_to_cross", (corner,)))
                 footprints.append(corner)
                 return cur.trim(), steps, footprints, None
-            # The pair and its crossing are known: no bpd_cross_bump_swap proof.
             cross = _unique_crossing(pair, positions)
             cur = _set_tiles(cur, (corner, "+"), (cross, "b"))
             steps.append(("cross_bump_swap", (corner, cross)))
@@ -220,7 +206,7 @@ def _bpd_x(diagram: BumplessPipeDream, pi: Permutation, alpha: int):
 
 def _bpd_m(diagram: BumplessPipeDream, pi: Permutation, s: int, beta: int):
     pair = (pi(s), pi(beta))
-    pos = _unique_crossing(pair, _crossings(diagram.rows, *pair))
+    pos = _unique_crossing(pair, _sweep(diagram.rows)[1].get(frozenset(pair), ()))
     cur = _set_tiles(diagram, (pos, "b"))
     return _bpd_cascade(cur, pos, pi(beta), [("cross_to_bump", (pos,))], [pos])
 

@@ -133,13 +133,6 @@ class Permutation:
             i for i in range(1, self.size) if self(i) > self(i + 1)
         )
 
-    def lehmer_code(self) -> tuple[int, ...]:
-        w = self.word
-        return tuple(
-            sum(1 for j in range(i + 1, len(w)) if w[j] < w[i])
-            for i in range(len(w))
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.word == other.word
 

@@ -119,9 +119,6 @@ class PipeDream:
     def product_perm(self) -> Permutation:
         return multiply_word(self.word())[0]
 
-    def is_reduced(self) -> bool:
-        return multiply_word(self.word())[1]
-
     def perm(self) -> Permutation:
         """The permutation of the diagram; raises if a pair crosses twice."""
         pi, reduced = multiply_word(self.word())

@@ -149,33 +149,41 @@ def brute_grids(n):
     return grids
 
 
-def trace_grid(rows):
-    """Trace every pipe of a legal grid.
+def trace_grid(rows, entered=None):
+    """Trace every pipe of a legal grid, whose tiles may include bumps: a
+    bump turns a pipe heading north to the east, and one heading east to
+    the north.
 
     Returns (exit_rows, pair_cells): the map entry column -> exit row,
-    and for each pair of pipes the list of cross tiles they share.
+    and for each pair of pipes the list of cross tiles they share.  If
+    entered is a dict, it gets (row, col, edge) -> entry column for the
+    S or W edge through which each pipe enters each tile.
     """
     n = len(rows)
     visitors = {}
     exit_rows = {}
+    if entered is None:
+        entered = {}
     for c in range(1, n + 1):
         i, j, heading = n, c, "N"
         for _ in range(2 * n * n + 2):
             tile = rows[i - 1][j - 1]
             if heading == "N":
-                assert tile in "|+r", (rows, i, j)
+                entered[(i, j, "S")] = c
+                assert tile in "|+rb", (rows, i, j)
                 if tile == "+":
                     visitors.setdefault((i, j), []).append(c)
-                if tile == "r":
+                if tile in "rb":
                     heading = "E"
                     j += 1
                 else:
                     i -= 1
             else:
-                assert tile in "-+j", (rows, i, j)
+                entered[(i, j, "W")] = c
+                assert tile in "-+jb", (rows, i, j)
                 if tile == "+":
                     visitors.setdefault((i, j), []).append(c)
-                if tile == "j":
+                if tile in "jb":
                     heading = "N"
                     i -= 1
                 else:

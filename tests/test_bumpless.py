@@ -4,6 +4,7 @@ pop, and insert."""
 import ast
 import copy
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ from pipedreams import (
     schubert_polynomial,
     symmetric_group,
 )
-from pipedreams.bumpless import _crossings
+from pipedreams import monk
+from pipedreams.bumpless import _sweep, iter_bpds
 from pipedreams.poly import SparsePolynomial
 from pipedreams.verify import MODELS, _moves
 
@@ -104,10 +106,9 @@ def test_trace_matches_oracle(n):
         }
 
 
-# One grid per rejection branch that a grid can reach.  The no-edge meet,
-# the escape through the top, two pipes exiting one row, an untraced segment
-# and a blank count off the length are guards: no grid that passes the
-# border and edge checks without a double crossing reaches them.
+# One grid per rejection branch that a grid can reach.  A blank count off
+# the length is a guard: no grid that passes the border and edge checks
+# without a double crossing reaches it.
 REJECTIONS = [
     ((".r", "rb"), "bump tile at (2, 2)"),
     (("|",), "segment exits the top at column 1"),
@@ -188,9 +189,58 @@ def test_every_bumpless_move_of_s4_traces_only_its_input_and_output(traced):
 def test_crossings_match_oracle(n):
     for rows in brute_grids(n):
         pair_cells = trace_grid(rows)[1]
+        pairs = _sweep(rows)[1]
         for p, q in itertools.permutations(range(1, n + 1), 2):
             cells = sorted(pair_cells.get(frozenset({p, q}), []))
-            assert _crossings(rows, p, q) == cells, (rows, p, q)
+            assert sorted(pairs.get(frozenset({p, q}), [])) == cells, (rows, p, q)
+
+
+def assert_sweep_matches_oracle(rows):
+    """The sweep's exit word, crossings and (S, W) pipes of every tile
+    against helpers.trace_grid."""
+    n = len(rows)
+    entered = {}
+    exit_rows, pair_cells = trace_grid(rows, entered)
+    word, pairs, pipes = _sweep(rows)
+    assert pipes is None
+    assert word == sorted(exit_rows, key=exit_rows.get), rows
+    assert {p: sorted(v) for p, v in pairs.items()} == {
+        p: sorted(v) for p, v in pair_cells.items()
+    }, rows
+    for i, j in itertools.product(range(1, n + 1), repeat=2):
+        want = (entered.get((i, j, "S")), entered.get((i, j, "W")))
+        assert _sweep(rows, (i, j))[2] == want, (rows, (i, j))
+
+
+def test_sweep_matches_oracle_on_s7_s8_enumeration_prefixes():
+    rng = random.Random(7)
+    grids = set()
+    for n in (7, 8):
+        for _ in range(5):
+            pi = Permutation(rng.sample(range(1, n + 1), n))
+            grids.update(d.rows for d in itertools.islice(iter_bpds(pi), 30))
+    assert len(grids) == 185
+    for rows in sorted(grids):
+        assert_sweep_matches_oracle(rows)
+
+
+def test_sweep_matches_oracle_on_the_bump_grids_of_the_s4_cascades(monkeypatch):
+    # Every grid with a bump that an S4 cascade droops from or to.
+    grids = set()
+    real = monk.bpd_min_droop
+
+    def recording(diagram, pos):
+        out, corner = real(diagram, pos)
+        grids.update(r for r in (diagram.rows, out.rows) if "b" in "".join(r))
+        return out, corner
+
+    monkeypatch.setattr(monk, "bpd_min_droop", recording)
+    for _, base, move, _ in _moves(4):
+        for d in enumerate_bpds(base):
+            MODELS["bpd"].apply(d, move)
+    assert len(grids) == 423
+    for rows in sorted(grids):
+        assert_sweep_matches_oracle(rows)
 
 
 def test_trim_carries_the_validated_permutation(traced):

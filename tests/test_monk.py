@@ -16,7 +16,6 @@ from pipedreams import (
     MoveError,
     Permutation,
     PipeDream,
-    bpd_cross_bump_swap,
     bpd_m_move,
     bpd_min_droop,
     bpd_pop,
@@ -62,22 +61,6 @@ def test_min_droop_skips_crossings():
 def test_min_droop_requires_turn():
     with pytest.raises(MoveError):
         bpd_min_droop(BumplessPipeDream.identity(2), (2, 1))
-
-
-# ---------------------------------------------------------- cross bump swap
-
-
-def test_cross_bump_swap_and_involution():
-    g = BumplessPipeDream(("..r-", ".r+-", "rbjr", "||r+"))
-    swapped = bpd_cross_bump_swap(g, (3, 2), (2, 3))
-    assert swapped.rows == ("..r-", ".rb-", "r+jr", "||r+")
-    assert bpd_cross_bump_swap(swapped, (2, 3), (3, 2)) == g
-
-
-def test_cross_bump_swap_needs_matching_pair():
-    g = BumplessPipeDream((".r", "rb"))
-    with pytest.raises(MoveError):
-        bpd_cross_bump_swap(g, (2, 2), (1, 1))
 
 
 # --------------------------------------------------------- bumpless inserts

@@ -181,12 +181,6 @@ def test_simple_multiplication_changes_length_by_one(word, i):
     assert abs(pi.right_s(i).length() - pi.length()) == 1
 
 
-def test_lehmer_code():
-    pi = Permutation((3, 1, 2))
-    assert pi.lehmer_code() == (2, 0, 0)
-    assert Permutation.longest(3).lehmer_code() == (2, 1, 0)
-
-
 def test_longest_element():
     w0 = Permutation.longest(4)
     assert w0.word == (4, 3, 2, 1)
