@@ -1,5 +1,6 @@
 """Tests for the insertion moves on both diagram models."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -31,7 +32,7 @@ from pipedreams import (
 )
 from pipedreams import monk
 from pipedreams.bumpless import iter_bpds
-from pipedreams.verify import MODELS
+from pipedreams.verify import MODELS, _moves
 
 
 def covers_of(pi, bound):
@@ -225,6 +226,35 @@ def test_pd_m_move_fixture_321():
     assert tr.complete_footprints == ((2, 1), (2, 2))
 
 
+@pytest.mark.parametrize(
+    "n, count, digest",
+    [
+        (4, 421, "1f3d9efc243265170dd301edc27f21e56c1dfdf33b3b22424f4c0688ec653690"),
+        (5, 5266, "6bb9d4a295b212f7da5aec2c81f03b3a01479daa164d431e56ad6b1895c3f2d5"),
+    ],
+)
+def test_every_pd_monk_move_of_the_verify_harness(n, count, digest):
+    # sha256 of the sorted lines, recorded before the cover check read
+    # positions instead of lengths.
+    lines, bases = [], {}
+    for _, base, move, _ in _moves(n):
+        if base not in bases:
+            bases[base] = sorted(
+                sorted(d.crosses) for d in enumerate_pipe_dreams(base)
+            )
+        for crosses in bases[base]:
+            out, tr = MODELS["pd"].apply(PipeDream(crosses), move)
+            lines.append(
+                f"{crosses} {move} {sorted(out.crosses)} {tr.steps} "
+                f"{tr.footprints} {tr.complete_footprints} {tr.result_l}"
+            )
+    assert len(lines) == count
+    h = hashlib.sha256()
+    for line in sorted(lines):
+        h.update((line + "\n").encode())
+    assert h.hexdigest() == digest
+
+
 def test_pd_m_move_rejects_non_cover():
     with pytest.raises(ValueError):
         pd_m_move(PipeDream([(1, 1)]), 2, 1)
@@ -338,6 +368,26 @@ def test_move_argument_errors(name):
     for s, beta in ((2, 2), (0, 1)):
         with pytest.raises(ValueError, match="need 1 <= s < beta"):
             model.m(d, s, beta)
+
+
+@pytest.mark.parametrize(
+    "base, position, out, message",
+    [
+        (
+            (), 1, (2, 3, 1),
+            "differs from the base by [1, 2, 3], not a transposition at 1",
+        ),
+        ((), 1, (1, 3, 2), "differs from the base by [2, 3], not a transposition at 1"),
+        ((), 1, (), "differs from the base by [], not a transposition at 1"),
+        ((), 2, (2, 1), "landing index 1 not beyond 2"),
+        ((2, 1), 1, (), "output id is not a cover of 2,1"),
+        ((), 1, (3, 2, 1), "output 3,2,1 is not a cover of id"),
+    ],
+)
+def test_cover_step_names_each_failure(base, position, out, message):
+    with pytest.raises(InvariantError) as info:
+        monk._cover_step(Permutation(base), position, Permutation(out))
+    assert str(info.value).removeprefix("output permutation ") == message
 
 
 def test_cover_step_check_survives_python_O():

@@ -2,10 +2,10 @@
 
 import gc
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from pipedreams import (
     Permutation,
@@ -143,6 +143,27 @@ def test_bruhat_cover_basics():
     assert not is_bruhat_cover(id_, 1, 3)
     with pytest.raises(ValueError):
         is_bruhat_cover(id_, 2, 2)
+
+
+def _covers_by_length(pi, a, b):
+    """The definition: pi t_{a,b} covers pi when it is one inversion longer."""
+    return pi.right_t(a, b).length() == pi.length() + 1
+
+
+def test_bruhat_cover_matches_its_definition_on_s6():
+    for pi in symmetric_group(6):
+        for a, b in combinations(range(1, 8), 2):
+            want = _covers_by_length(pi, a, b)
+            assert is_bruhat_cover(pi, a, b) == want, (pi, a, b)
+
+
+@seed(9)
+@settings(max_examples=150, deadline=None)
+@given(st.permutations(range(1, 10)))
+def test_bruhat_cover_matches_its_definition_on_s9(word):
+    pi = Permutation(word)
+    for a, b in combinations(range(1, 11), 2):
+        assert is_bruhat_cover(pi, a, b) == _covers_by_length(pi, a, b), (a, b)
 
 
 def test_monk_covers_examples():
