@@ -21,31 +21,16 @@ from .errors import EmptyDiagramError, InvalidDiagramError, InvariantError, Move
 from .perm import Permutation
 from .poly import SparsePolynomial
 
-_SEGMENTS = {
-    ".": frozenset(),
-    "|": frozenset({"NS"}),
-    "-": frozenset({"EW"}),
-    "r": frozenset({"SE"}),
-    "j": frozenset({"NW"}),
-    "+": frozenset({"NS", "EW"}),
-    "b": frozenset({"SE", "NW"}),
-}
-
-# Which of the four cell edges each segment kind touches.
-_EDGES = {
-    "NS": ("N", "S"),
-    "EW": ("E", "W"),
-    "SE": ("S", "E"),
-    "NW": ("N", "W"),
-}
-
-# Edge bits: the 4-bit mask of a letter has the bit of every edge its
-# segments touch.
+# The edges each letter touches, one bit per edge.
 _N, _E, _S, _W = 1, 2, 4, 8
-_BIT = {"N": _N, "E": _E, "S": _S, "W": _W}
 _MASK = {
-    letter: sum(_BIT[e] for seg in segs for e in _EDGES[seg])
-    for letter, segs in _SEGMENTS.items()
+    ".": 0,
+    "|": _N | _S,
+    "-": _E | _W,
+    "r": _S | _E,
+    "j": _N | _W,
+    "+": _N | _E | _S | _W,
+    "b": _N | _E | _S | _W,
 }
 
 
@@ -243,7 +228,7 @@ class BumplessPipeDream:
             if len(row) != n:
                 raise ValueError("grid is not square")
             for ch in row:
-                if ch not in _SEGMENTS:
+                if ch not in _MASK:
                     raise ValueError(f"unknown tile letter {ch!r}")
         self.rows = rs
         self._perm = None  # (rows, permutation) once validate() passed

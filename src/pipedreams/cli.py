@@ -27,6 +27,10 @@ _DEFAULT_MAX_GROUP = 4
 # r + c - 1, and a bpd payload is a grid; refusing larger values keeps time
 # and output bounded.
 _MAX_COORD = 64
+# enum of a permutation of size 9 writes about 240 MB at 1.75 GB peak RSS,
+# and schubert of one of size 10 takes about 10 s; both sizes are refused.
+_MAX_ENUM_SIZE = 8
+_MAX_SCHUBERT_SIZE = 9
 
 
 def _max_group() -> int:
@@ -40,6 +44,13 @@ def _max_group() -> int:
 def _check_bound(what: str, value: int | None) -> None:
     if value is not None and value > _MAX_COORD:
         raise ValueError(f"{what} = {value} exceeds the bound {_MAX_COORD}")
+
+
+def _parse_perm(text: str, bound: int) -> Permutation:
+    pi = Permutation.parse(text)
+    if pi.size > bound:
+        raise ValueError(f"the permutation size {pi.size} exceeds the bound {bound}")
+    return pi
 
 
 def _read_json(path: str) -> dict:
@@ -76,7 +87,7 @@ def _diagram_sort_key(d):
 
 
 def _cmd_schubert(args) -> int:
-    pi = Permutation.parse(args.perm)
+    pi = _parse_perm(args.perm, _MAX_SCHUBERT_SIZE)
     poly = schubert_polynomial(pi)
     if args.pretty:
         print(str(poly))
@@ -93,7 +104,7 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    pi = Permutation.parse(args.perm)
+    pi = _parse_perm(args.perm, _MAX_ENUM_SIZE)
     diagrams = sorted(MODELS[args.model].enumerate(pi), key=_diagram_sort_key)
     if args.pretty:
         print("\n\n".join(render(d, pretty=True) for d in diagrams))

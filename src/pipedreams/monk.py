@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .bumpless import BumplessPipeDream, _droop_rows, _sweep
 from .errors import InvariantError, MoveError
-from .perm import Permutation
+from .perm import Permutation, is_bruhat_cover
 from .pipedream import PipeDream, trace_pipes
 
 
@@ -26,27 +26,22 @@ class MonkTrace:
     result_l is the l with output permutation equal to base t_{a,l}.
     """
 
-    __slots__ = ("kind", "params", "steps", "footprints", "complete_footprints", "result_l")
+    __slots__ = ("steps", "footprints", "complete_footprints", "result_l")
 
-    def __init__(self, kind, params, steps, footprints, complete_footprints, result_l):
-        self.kind = kind
-        self.params = params
+    def __init__(self, steps, footprints, complete_footprints, result_l):
         self.steps = steps
         self.footprints = footprints
         self.complete_footprints = complete_footprints
         self.result_l = result_l
 
     def __repr__(self) -> str:
-        return (
-            f"MonkTrace(kind={self.kind!r}, params={self.params!r}, "
-            f"result_l={self.result_l})"
-        )
+        return f"MonkTrace(steps={self.steps!r}, result_l={self.result_l})"
 
 
 def _cover_step(base: Permutation, position: int, out: Permutation) -> int:
-    """The l with out = base * t_{position, l}; checked to be a cover."""
-    tau = base.inverse() * out
-    moved = [i for i in range(1, max(tau.size, 1) + 1) if tau(i) != i]
+    """The l with out = base * t_{position, l}; checked to be a cover.  Two
+    permutations that differ at exactly two positions differ by their swap."""
+    moved = [i for i in range(1, max(base.size, out.size) + 1) if base(i) != out(i)]
     if len(moved) != 2 or position not in moved:
         raise InvariantError(
             f"output permutation differs from the base by {moved}, not a "
@@ -55,9 +50,7 @@ def _cover_step(base: Permutation, position: int, out: Permutation) -> int:
     l = next(i for i in moved if i != position)
     if l <= position:
         raise InvariantError(f"landing index {l} not beyond {position}")
-    if out != base.right_t(position, l):
-        raise InvariantError(f"{out} is not {base} t_({position},{l})")
-    if out.length() != base.length() + 1:
+    if not is_bruhat_cover(base, position, l):
         raise InvariantError(f"output {out} is not a cover of {base}")
     return l
 
@@ -71,7 +64,7 @@ def _x_move(diagram, alpha: int, cascade):
     if alpha < 1:
         raise ValueError("row index must be positive")
     pi = diagram.perm()
-    return _finish("x", {"alpha": alpha}, pi, alpha, *cascade(diagram, pi, alpha))
+    return _finish(pi, alpha, *cascade(diagram, pi, alpha))
 
 
 def _m_move(diagram, s: int, beta: int, cascade):
@@ -79,20 +72,16 @@ def _m_move(diagram, s: int, beta: int, cascade):
         raise ValueError("need 1 <= s < beta")
     sigma = diagram.perm()
     pi = sigma.right_t(s, beta)
-    if pi.length() != sigma.length() - 1:
+    if not is_bruhat_cover(pi, s, beta):
         raise ValueError(
             f"{sigma} is not a cover of {pi} at positions ({s}, {beta})"
         )
-    return _finish(
-        "m", {"s": s, "beta": beta}, pi, beta, *cascade(diagram, pi, s, beta)
-    )
+    return _finish(pi, beta, *cascade(diagram, pi, s, beta))
 
 
-def _finish(kind, params, base, position, out, steps, footprints, complete):
+def _finish(base, position, out, steps, footprints, complete):
     l = _cover_step(base, position, out.perm())
-    return out, MonkTrace(
-        kind, params, tuple(steps), tuple(footprints), complete, l
-    )
+    return out, MonkTrace(tuple(steps), tuple(footprints), complete, l)
 
 
 def _unique_crossing(pair, positions) -> tuple[int, int]:

@@ -147,10 +147,13 @@ class Permutation:
 
 
 def is_bruhat_cover(pi: Permutation, a: int, b: int) -> bool:
-    """True iff pi * t_{a,b} covers pi in Bruhat order (length goes up by 1)."""
+    """True iff pi * t_{a,b} covers pi in Bruhat order (length goes up by 1),
+    that is, iff pi(a) < pi(b) and no a < k < b has pi(a) < pi(k) < pi(b)
+    (Bjorner and Brenti, Combinatorics of Coxeter Groups, ch. 2)."""
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got {(a, b)}")
-    return pi.right_t(a, b).length() == pi.length() + 1
+    low, high = pi(a), pi(b)
+    return low < high and not any(low < pi(k) < high for k in range(a + 1, b))
 
 
 def monk_covers(pi: Permutation, alpha: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -234,7 +234,7 @@ def lemma_case_audit(diagram, move) -> AuditReport:
         _, s, beta = move
         sigma = diagram.perm()
         pi = sigma.right_t(s, beta)
-        if not (s < beta and pi.length() == sigma.length() - 1):
+        if not is_bruhat_cover(pi, s, beta):
             raise ValueError("move is not a cover of its base")
     elif move[0] == "x":
         _, alpha = move

@@ -66,6 +66,29 @@ def test_enum_bpd(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, size, bound",
+    [
+        (["enum", "1,3,2,9,8,7,6,5,4", "--model", "bpd"], 9, 8),
+        (["enum", "987654321", "--model", "pd"], 9, 8),
+        (["schubert", "1,3,2,10,9,8,7,6,5,4"], 10, 9),
+    ],
+    ids=["enum-bpd", "enum-pd", "schubert"],
+)
+def test_permutation_size_is_bounded(capsys, argv, size, bound):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: the permutation size {size} exceeds the bound {bound}\n"
+
+
+def test_permutations_at_the_size_bound_are_accepted(capsys):
+    assert run(capsys, "enum", "2,1,3,4,5,6,8,7", "--model", "bpd")[0] == 0
+    assert run(capsys, "enum", "21345687", "--model", "pd")[0] == 0
+    assert run(capsys, "schubert", "2,1,3,4,5,6,7,9,8")[0] == 0
+    # Trailing fixed points do not count towards the size.
+    assert run(capsys, "schubert", "2,1,3,4,5,6,7,8,9,10", "--pretty")[0] == 0
+
+
 def test_enum_requires_model(capsys):
     assert run(capsys, "enum", "321")[0] == 2
 
