@@ -43,8 +43,13 @@ def _sweep(rows: tuple[str, ...], at: Optional[tuple[int, int]] = None) -> tuple
     Returns (word, pairs, pipes): word[i - 1] is the pipe leaving through
     row i, pairs maps each pair of pipes to the tiles where they cross, in
     sweep order, and pipes is the (S, W) pair of pipes at the tile at.
+    Bump tiles are read, not rejected.
+
     Raises InvalidDiagramError where a tile's S or W edge does not match the
-    pipes that reach it.  Bump tiles are read, not rejected.
+    pipes that reach it, or a row ends with no pipe leaving east.  No other
+    edge needs a check: N and E edges are the next tiles' S and W, and as
+    no tile copies or drops a pipe, n rows that each pass one pipe east
+    pass all n, so up is empty after the top row.
     """
     n = len(rows)
     up: list[Optional[int]] = list(range(1, n + 1))
@@ -72,8 +77,44 @@ def _sweep(rows: tuple[str, ...], at: Optional[tuple[int, int]] = None) -> tuple
                 # A turn moves its one pipe between the S and W edges' slots;
                 # a bump swaps its two.
                 up[j - 1], carry = carry, south
+        if carry is None:
+            raise InvalidDiagramError(f"no pipe leaves at row {i}")
         word[i - 1] = carry
     return word, pairs, pipes
+
+
+def _diagnose(rows: tuple[str, ...]) -> None:
+    """Raise InvalidDiagramError naming the first failure of rows, in a
+    fixed order: a bump tile, the borders, then the interior edges.  Each
+    check reads the edge masks of the tiles; the checks together reject
+    exactly the grids with a bump or that _sweep rejects."""
+    n = len(rows)
+    for i, row in enumerate(rows, 1):
+        if "b" in row:
+            raise InvalidDiagramError(f"bump tile at {(i, row.index('b') + 1)}")
+    masks = [[_MASK[ch] for ch in row] for row in rows]
+    # Border consistency: no segment may poke through the north or west
+    # border, and every south and east border edge must carry a pipe.
+    for j in range(1, n + 1):
+        if masks[0][j - 1] & _N:
+            raise InvalidDiagramError(f"segment exits the top at column {j}")
+        if not masks[-1][j - 1] & _S:
+            raise InvalidDiagramError(f"no pipe enters at column {j}")
+    for i in range(1, n + 1):
+        if masks[i - 1][0] & _W:
+            raise InvalidDiagramError(f"segment exits the left at row {i}")
+        if not masks[i - 1][-1] & _E:
+            raise InvalidDiagramError(f"no pipe leaves at row {i}")
+    # Interior edge matching: the E edge of every tile against the W edge
+    # of its east neighbour, then the S edge against the N edge below.
+    for di, dj, near, far in ((0, 1, _E, _W), (1, 0, _S, _N)):
+        for i in range(1, n + 1 - di):
+            here, there = masks[i - 1], masks[i - 1 + di]
+            for j in range(1, n + 1 - dj):
+                if bool(here[j - 1] & near) != bool(there[j - 1 + dj] & far):
+                    raise InvalidDiagramError(
+                        f"mismatched edge between {(i, j)} and {(i + di, j + dj)}"
+                    )
 
 
 # How a droop of the turn at (a, b) to (c, d) rewrites the border of the
@@ -238,6 +279,9 @@ class BumplessPipeDream:
         return len(self.rows)
 
     def tile(self, i: int, j: int) -> str:
+        n = len(self.rows)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise IndexError(f"tile {(i, j)} is off the {n} x {n} grid")
         return self.rows[i - 1][j - 1]
 
     @classmethod
@@ -314,42 +358,21 @@ class BumplessPipeDream:
     def trace(self) -> BpdTrace:
         """Read every pipe; raises InvalidDiagramError on malformed grids.
 
-        The border and edge checks come first and name the first failure;
-        a grid that passes them is read by one row sweep."""
+        One row sweep accepts or rejects the grid.  Only a grid it rejects,
+        or one holding a bump tile, is handed to _diagnose, which names
+        the first failure."""
         rows = self.rows
-        n = len(rows)
-        for i, row in enumerate(rows, 1):
-            if "b" in row:
-                raise InvalidDiagramError(f"bump tile at {(i, row.index('b') + 1)}")
-        masks = [[_MASK[ch] for ch in row] for row in rows]
-        # Border consistency: no segment may poke through the north or west
-        # border, and every south and east border edge must carry a pipe.
-        for j in range(1, n + 1):
-            if masks[0][j - 1] & _N:
-                raise InvalidDiagramError(f"segment exits the top at column {j}")
-            if not masks[-1][j - 1] & _S:
-                raise InvalidDiagramError(f"no pipe enters at column {j}")
-        for i in range(1, n + 1):
-            if masks[i - 1][0] & _W:
-                raise InvalidDiagramError(f"segment exits the left at row {i}")
-            if not masks[i - 1][-1] & _E:
-                raise InvalidDiagramError(f"no pipe leaves at row {i}")
-        # Interior edge matching: the E edge of every tile against the W edge
-        # of its east neighbour, then the S edge against the N edge below.
-        for di, dj, near, far in ((0, 1, _E, _W), (1, 0, _S, _N)):
-            for i in range(1, n + 1 - di):
-                here, there = masks[i - 1], masks[i - 1 + di]
-                for j in range(1, n + 1 - dj):
-                    if bool(here[j - 1] & near) != bool(there[j - 1 + dj] & far):
-                        raise InvalidDiagramError(
-                            f"mismatched edge between {(i, j)} and {(i + di, j + dj)}"
-                        )
-        # Past these checks every pipe enters from the south, runs north and
-        # east over matched edges, and leaves through a row of its own.
-        word, pairs, _ = _sweep(rows)
-        return BpdTrace(
-            Permutation(word), {p: tuple(sorted(v)) for p, v in pairs.items()}
-        )
+        if not any("b" in row for row in rows):
+            try:
+                word, pairs, _ = _sweep(rows)
+            except InvalidDiagramError:
+                pass
+            else:
+                return BpdTrace(
+                    Permutation(word), {p: tuple(sorted(v)) for p, v in pairs.items()}
+                )
+        _diagnose(rows)
+        raise InvariantError(f"the sweep rejects {rows} but no check names a fault")
 
     def validate(self) -> Permutation:
         """Check well-formedness and return the permutation of the diagram.
@@ -382,14 +405,16 @@ class BumplessPipeDream:
     def droop(self, corner: tuple[int, int], dest: tuple[int, int]) -> "BumplessPipeDream":
         """Move the turn at corner to the blank dest strictly southeast of it.
 
-        The pipe must pass straight through the near corners, '|' at
-        (dest row, corner column) and '-' at (corner row, dest column), and
-        the rectangle they span may contain no other turn of the moving
-        pipe; violations surface as MoveError.
+        Both must lie on the grid.  The pipe must pass straight through
+        the near corners, '|' at (dest row, corner column) and '-' at
+        (corner row, dest column), and the rectangle they span may contain
+        no other turn of the moving pipe; violations surface as MoveError.
         """
         (a, b), (c, d) = corner, dest
         if not (c > a and d > b):
             raise MoveError("destination must be strictly southeast of corner")
+        if a < 1 or b < 1 or c > self.n or d > self.n:
+            raise MoveError(f"droop from {corner} to {dest} leaves the grid")
         if self.tile(a, b) != "r":
             raise MoveError(f"no turn to droop at {(a, b)}")
         if self.tile(c, d) != ".":

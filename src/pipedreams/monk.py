@@ -98,7 +98,8 @@ def _unique_crossing(pair, positions) -> tuple[int, int]:
 def bpd_min_droop(
     diagram: BumplessPipeDream, pos: tuple[int, int]
 ) -> tuple[BumplessPipeDream, tuple[int, int]]:
-    """Droop the turn at pos to the nearest free corner southeast of it.
+    """Droop the turn at pos, on the grid, to the nearest free corner
+    southeast of it.
 
     The scans south and east skip crossing tiles only; the grid grows as
     needed.  Unlike droop, a near corner may hold a 'j' turn of the pipe,
@@ -111,6 +112,8 @@ def bpd_min_droop(
     (('.r', 'rb'), (2, 2))
     """
     a, b = pos
+    if not (1 <= a <= diagram.n and 1 <= b <= diagram.n):
+        raise MoveError(f"{pos} is off the grid")
     if diagram.tile(a, b) not in "rb":
         raise MoveError(f"no southeast turn at {pos}")
     # Tiles the growth adds next to the grid are '|' and '-', never '+'.

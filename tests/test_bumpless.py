@@ -16,6 +16,7 @@ from pipedreams import (
     BumplessPipeDream,
     EmptyDiagramError,
     InvalidDiagramError,
+    InvariantError,
     MoveError,
     Permutation,
     bpd_insert,
@@ -28,7 +29,7 @@ from pipedreams import (
     schubert_polynomial,
     symmetric_group,
 )
-from pipedreams import monk
+from pipedreams import bumpless, monk
 from pipedreams.bumpless import _sweep, iter_bpds
 from pipedreams.poly import SparsePolynomial
 from pipedreams.verify import MODELS, _moves
@@ -92,18 +93,24 @@ def test_validate_rejects_double_crossing():
         BumplessPipeDream(non_reduced[0]).validate()
 
 
+def assert_trace_matches_oracle(rows):
+    """trace()'s permutation and sorted pair crossings against
+    helpers.trace_grid."""
+    trace = BumplessPipeDream(rows).trace()
+    exit_rows, pair_cells = trace_grid(rows)
+    word = [0] * len(rows)
+    for column, row in exit_rows.items():
+        word[row - 1] = column
+    assert trace.perm == Permutation(word), rows
+    assert trace.pair_crossings == {
+        pair: tuple(sorted(cells)) for pair, cells in pair_cells.items()
+    }, rows
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_trace_matches_oracle(n):
     for rows in brute_grids(n):
-        trace = BumplessPipeDream(rows).trace()
-        exit_rows, pair_cells = trace_grid(rows)
-        word = [0] * n
-        for column, row in exit_rows.items():
-            word[row - 1] = column
-        assert trace.perm == Permutation(word)
-        assert trace.pair_crossings == {
-            pair: tuple(sorted(cells)) for pair, cells in pair_cells.items()
-        }
+        assert_trace_matches_oracle(rows)
 
 
 # One grid per rejection branch that a grid can reach.  A blank count off
@@ -129,6 +136,63 @@ def test_validate_rejection_messages(rows, message):
     with pytest.raises(InvalidDiagramError) as excinfo:
         BumplessPipeDream(rows).validate()
     assert str(excinfo.value) == message
+
+
+@pytest.fixture
+def diagnosed(monkeypatch):
+    """The rows of every grid bumpless._diagnose is called on."""
+    calls = []
+    real = bumpless._diagnose
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(bumpless, "_diagnose", counting)
+    return calls
+
+
+def test_the_sweep_alone_decides_every_grid_of_s5(diagnosed):
+    for pi in symmetric_group(5):
+        for d in enumerate_bpds(pi):
+            assert BumplessPipeDream(d.rows).validate() == pi
+    assert diagnosed == []
+
+
+def test_phi_and_phi_inverse_diagnose_no_grid(diagnosed):
+    pi = Permutation.parse("2153746")
+    for b in enumerate_bpds(pi):
+        d = BumplessPipeDream(b.rows)
+        assert phi_inverse(phi(d).pipe_dream()) == d
+    for d in enumerate_pipe_dreams(pi):
+        assert phi(phi_inverse(d)).pipe_dream() == d
+    assert diagnosed == []
+
+
+@pytest.mark.parametrize("rows, message", REJECTIONS)
+def test_each_rejection_is_diagnosed_once(rows, message, diagnosed):
+    # A double crossing passes the sweep; validate() rejects it after.
+    with pytest.raises(InvalidDiagramError):
+        BumplessPipeDream(rows).validate()
+    assert diagnosed == ([] if "cross twice" in message else [rows])
+
+
+def test_a_sweep_rejecting_a_legal_grid_is_an_invariant_error(monkeypatch):
+    def rejecting(rows, at=None):
+        raise InvalidDiagramError("rejected")
+
+    monkeypatch.setattr(bumpless, "_sweep", rejecting)
+    with pytest.raises(InvariantError):
+        BumplessPipeDream.identity(3).trace()
+
+
+def test_the_sweep_rejects_a_pipe_leaving_the_top():
+    # No row check fires on the north border: the pipe that leaves the top
+    # leaves some row with no pipe to pass east.
+    with pytest.raises(InvalidDiagramError, match="no pipe leaves at row 1"):
+        _sweep(("|",))
+    with pytest.raises(InvalidDiagramError, match="no pipe leaves at row 2"):
+        _sweep(("|r", "||"))
 
 
 @pytest.fixture
@@ -222,6 +286,7 @@ def test_sweep_matches_oracle_on_s7_s8_enumeration_prefixes():
     assert len(grids) == 185
     for rows in sorted(grids):
         assert_sweep_matches_oracle(rows)
+        assert_trace_matches_oracle(rows)
 
 
 def test_sweep_matches_oracle_on_the_bump_grids_of_the_s4_cascades(monkeypatch):
@@ -434,6 +499,30 @@ def test_droop_undroop_roundtrip():
     (other,) = others
     assert other.rows == (".r-", "rjr", "|r+")
     assert rothe.droop((1, 1), (2, 2)) == other
+
+
+def test_tile_rejects_off_grid_positions():
+    d = BumplessPipeDream.identity(2)
+    assert d.tile(2, 2) == "r"
+    for pos in [(0, 1), (1, 0), (3, 1), (1, 3), (-1, -1), (-2, 2)]:
+        with pytest.raises(IndexError):
+            d.tile(*pos)
+
+
+def test_droop_rejects_every_off_grid_corner_and_destination():
+    d = BumplessPipeDream(("r---", "|.r-", "|rjr", "||r+"))
+    with pytest.raises(MoveError, match="leaves the grid"):
+        d.droop((-3, -3), (-2, -2))
+    checked = 0
+    for pi in symmetric_group(4):
+        for d in enumerate_bpds(pi):
+            span = range(-d.n, d.n + 3)
+            for a, b, c, e in itertools.product(span, repeat=4):
+                if c > a and e > b and not all(1 <= v <= d.n for v in (a, b, c, e)):
+                    with pytest.raises(MoveError):
+                        d.droop((a, b), (c, e))
+                    checked += 1
+    assert checked == 108_601
 
 
 def test_droop_requires_corner_and_blank():

@@ -64,6 +64,19 @@ def test_min_droop_requires_turn():
         bpd_min_droop(BumplessPipeDream.identity(2), (2, 1))
 
 
+def test_min_droop_rejects_every_off_grid_corner():
+    d = BumplessPipeDream(("r---", "|.r-", "|rjr", "||r+"))
+    with pytest.raises(MoveError, match="off the grid"):
+        bpd_min_droop(d, (-3, -3))
+    for pi in symmetric_group(4):
+        for d in enumerate_bpds(pi):
+            span = range(-d.n, d.n + 3)
+            for pos in itertools.product(span, repeat=2):
+                if not all(1 <= v <= d.n for v in pos):
+                    with pytest.raises(MoveError):
+                        bpd_min_droop(d, pos)
+
+
 # --------------------------------------------------------- bumpless inserts
 
 
