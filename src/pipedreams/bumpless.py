@@ -32,6 +32,7 @@ _MASK = {
     "+": _N | _E | _S | _W,
     "b": _N | _E | _S | _W,
 }
+_LETTERS = frozenset(_MASK)
 
 
 def _sweep(rows: tuple[str, ...], at: Optional[tuple[int, int]] = None) -> tuple:
@@ -237,12 +238,11 @@ def _trim_rows(rows: tuple[str, ...]) -> tuple[str, ...]:
     """Strip trailing identity rows and columns added by growth."""
     while len(rows) > 1:
         n = len(rows)
-        last_row = rows[-1]
-        last_col = "".join(row[-1] for row in rows)
-        if last_row == "|" * (n - 1) + "r" and last_col == "-" * (n - 1) + "r":
-            rows = tuple(row[:-1] for row in rows[:-1])
-        else:
+        if rows[-1] != "|" * (n - 1) + "r":
             break
+        if "".join(row[-1] for row in rows) != "-" * (n - 1) + "r":
+            break
+        rows = tuple(row[:-1] for row in rows[:-1])
     return rows
 
 
@@ -268,9 +268,10 @@ class BumplessPipeDream:
         for row in rs:
             if len(row) != n:
                 raise ValueError("grid is not square")
-            for ch in row:
-                if ch not in _MASK:
-                    raise ValueError(f"unknown tile letter {ch!r}")
+            if not _LETTERS.issuperset(row):
+                for ch in row:
+                    if ch not in _MASK:
+                        raise ValueError(f"unknown tile letter {ch!r}")
         self.rows = rs
         self._perm = None  # (rows, permutation) once validate() passed
 
@@ -505,6 +506,13 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
     has one and slides east through column moves until the two pipes around
     it are forced to uncross; that crossing position yields the letter a.
     """
+    return _pop(diagram, None)
+
+
+def _pop(diagram: BumplessPipeDream, known: Optional[BumplessPipeDream]) -> PopResult:
+    """bpd_pop(diagram).  known, if given, is a validated grid; a result
+    whose trimmed rows are known's takes known's permutation untraced, as
+    the permutation is a function of the trimmed rows."""
     pi = diagram.validate()
     if pi.is_identity():
         raise EmptyDiagramError("cannot pop the identity diagram")
@@ -545,6 +553,8 @@ def bpd_pop(diagram: BumplessPipeDream) -> PopResult:
     else:  # pragma: no cover
         raise InvariantError("pop cascade did not terminate")
     result = BumplessPipeDream(_trim_rows(rows))
+    if known is not None and result == known:
+        result._perm = (result.rows, known.validate())
     if result.validate() != pi.left_s(a):
         raise InvariantError("pop changed the permutation incorrectly")
     return PopResult(a, r, result, tuple(footprints))
@@ -589,7 +599,9 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
         raise InvariantError("insert cascade did not terminate")
     cur = BumplessPipeDream(rows)
     try:
-        check = bpd_pop(cur)
+        # The pop's output check reads diagram's permutation when the pop
+        # lands back on diagram's rows, so the round trip traces cur alone.
+        check = _pop(cur, diagram)
     except (InvalidDiagramError, EmptyDiagramError):
         return None
     if (check.a, check.r) == (a, r) and check.result == diagram:

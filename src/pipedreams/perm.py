@@ -9,6 +9,7 @@ matter which finite symmetric group it came from.  Composition is functional:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from typing import Iterable, Iterator
 
 from .errors import InvariantError
@@ -34,6 +35,16 @@ class Permutation:
         while w and w[-1] == len(w):
             w = w[:-1]
         self.word = w
+
+    @classmethod
+    def _of(cls, w: list[int]) -> "Permutation":
+        """The permutation of w, a list known to be a permutation word,
+        without the check; trailing fixed points are dropped from w."""
+        while w and w[-1] == len(w):
+            w.pop()
+        out = cls.__new__(cls)
+        out.word = tuple(w)
+        return out
 
     @classmethod
     def identity(cls) -> "Permutation":
@@ -96,9 +107,12 @@ class Permutation:
         """Left-multiply by s_i: swap the values i and i+1."""
         if i < 1:
             raise ValueError("need i >= 1")
-        m = max(self.size, i + 1)
-        swap = {i: i + 1, i + 1: i}
-        return Permutation(swap.get(self(j), self(j)) for j in range(1, m + 1))
+        w = list(self.word)
+        if len(w) <= i:
+            w.extend(range(len(w) + 1, i + 2))
+        p, q = w.index(i), w.index(i + 1)
+        w[p], w[q] = i + 1, i
+        return Permutation._of(w)
 
     def length(self) -> int:
         """Coxeter length = number of inversions.
@@ -106,13 +120,15 @@ class Permutation:
         >>> Permutation([2, 1, 5, 4, 3]).length()
         4
         """
-        w = self.word
-        return sum(
-            1
-            for i in range(len(w))
-            for j in range(i + 1, len(w))
-            if w[i] > w[j]
-        )
+        # Each value adds the earlier values above it, found by bisecting
+        # the sorted list of the values seen so far.
+        seen: list[int] = []
+        count = 0
+        for v in self.word:
+            k = bisect(seen, v)
+            count += len(seen) - k
+            seen.insert(k, v)
+        return count
 
     def is_identity(self) -> bool:
         return not self.word
@@ -123,10 +139,8 @@ class Permutation:
         >>> sorted(Permutation([2, 1, 5, 4, 3]).left_descents())
         [1, 3, 4]
         """
-        inv = self.inverse()
-        return frozenset(
-            i for i in range(1, self.size) if inv(i) > inv(i + 1)
-        )
+        at = {v: k for k, v in enumerate(self.word)}
+        return frozenset(i for i in range(1, self.size) if at[i] > at[i + 1])
 
     def right_descents(self) -> frozenset[int]:
         return frozenset(

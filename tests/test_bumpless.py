@@ -82,6 +82,22 @@ def test_validate_rejects_bad_rows():
         BumplessPipeDream(("r-", "|j")).validate()
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (("|rx", "...", "..."), "unknown tile letter 'x'"),
+        (("...", "|rx", "y.."), "unknown tile letter 'x'"),
+        (("|ry", "x..", "..."), "unknown tile letter 'y'"),
+        (("|r", "|rx"), "grid is not square"),
+        (("|x", "|r."), "unknown tile letter 'x'"),
+    ],
+)
+def test_constructor_names_the_first_bad_row_fault(rows, message):
+    with pytest.raises(ValueError) as err:
+        BumplessPipeDream(rows)
+    assert str(err.value) == message
+
+
 def test_validate_rejects_double_crossing():
     non_reduced = [
         rows
@@ -216,13 +232,75 @@ def test_validated_grid_is_traced_once(traced):
 
 
 def test_phi_inverse_traces_at_most_two_grids_per_insertion(traced):
-    # The identity start, then per insertion the round-trip pop's input
-    # check and output check; the trimmed return keeps its permutation.
+    # The identity start, then per insertion at most the round-trip pop's
+    # input check and output check; the exact count, one per insertion,
+    # is pinned by test_phi_inverse_sweeps_one_grid_per_insertion.
     pi = Permutation.parse("2153746")
     for d in enumerate_pipe_dreams(pi):
         traced.clear()
         phi_inverse(d)
         assert len(traced) <= 2 * pi.length() + 1, d
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The rows of every grid bumpless._sweep reads."""
+    calls = []
+    real = bumpless._sweep
+
+    def counting(rows, at=None):
+        calls.append(rows)
+        return real(rows, at)
+
+    monkeypatch.setattr(bumpless, "_sweep", counting)
+    return calls
+
+
+def test_phi_inverse_sweeps_one_grid_per_insertion(swept):
+    # The identity start, then the round-trip pop's input check of each
+    # inserted grid; the pop lands back on the grid inserted into, whose
+    # permutation is known, and the trimmed return keeps its permutation.
+    pi = Permutation.parse("2153746")
+    diagrams = enumerate_pipe_dreams(pi)
+    for d in diagrams:
+        before = len(swept)
+        phi_inverse(d)
+        assert len(swept) - before == pi.length() + 1, d
+    assert len(diagrams) == 75
+    assert len(swept) == 450
+
+
+def test_insert_sweeps_the_pop_output_only_when_it_is_not_the_input(swept):
+    # The pop lands back on the input: its rows are not swept again.
+    base = BumplessPipeDream.identity(1)
+    base.validate()
+    swept.clear()
+    out = bpd_insert(base, 1, 1)
+    assert out == BumplessPipeDream.rothe(Permutation((2, 1)))
+    assert swept == [out.rows]
+    # The pop lands elsewhere: its output is swept, as before.
+    base = BumplessPipeDream(("r---", "|.r-", "|rjr", "||r+"))
+    base.validate()
+    swept.clear()
+    assert bpd_insert(base, 2, 3) is None
+    assert len(swept) == 2 and base.rows not in swept
+
+
+def test_insert_keeps_the_pop_output_check(monkeypatch):
+    # Insertions whose pop lands back on the input, which now reads its
+    # permutation off the input: a wrong left_s still fails the check.
+    start = BumplessPipeDream.identity(1)
+    popped = bpd_pop(BumplessPipeDream.rothe(Permutation.parse("2153746")))
+    cases = [(start, 1, 1), (popped.result, popped.a, popped.r)]
+    for d, a, r in cases:
+        assert bpd_insert(d, a, r) is not None
+    monkeypatch.setattr(
+        Permutation, "left_s", lambda self, i: Permutation((2, 1, 3, 5, 4))
+    )
+    for d, a, r in cases:
+        with pytest.raises(InvariantError) as err:
+            bpd_insert(d, a, r)
+        assert str(err.value) == "pop changed the permutation incorrectly"
 
 
 def test_phi_traces_each_grid_of_the_pop_chain_once(traced):

@@ -66,6 +66,35 @@ def test_length_counts_inversions(pi):
     assert pi.length() == brute_length(full)
 
 
+def test_left_s_length_and_left_descents_match_their_old_formulas_on_s6():
+    # The formulas the word-reading versions replaced: left_s mapped
+    # every value through s_i, left_descents compared inverse positions.
+    for pi in symmetric_group(6):
+        assert pi.length() == brute_length(pi.word), pi
+        inv = pi.inverse()
+        assert pi.left_descents() == frozenset(
+            i for i in range(1, pi.size) if inv(i) > inv(i + 1)
+        ), pi
+        for i in range(1, 9):
+            swap = {i: i + 1, i + 1: i}
+            m = max(pi.size, i + 1)
+            want = Permutation(swap.get(pi(j), pi(j)) for j in range(1, m + 1))
+            got = pi.left_s(i)
+            assert got.word == want.word, (pi, i)
+            assert Permutation(got.word).word == got.word, (pi, i)
+
+
+def test_left_s_grows_past_the_support_and_trims():
+    pi = Permutation((2, 1))
+    assert pi.left_s(2).word == (3, 1, 2)
+    assert pi.left_s(5).word == (2, 1, 3, 4, 6, 5)
+    assert Permutation.identity().left_s(4).word == (1, 2, 3, 5, 4)
+    assert pi.left_s(1).left_s(1) == pi
+    assert Permutation((1, 3, 2)).left_s(2).word == ()
+    with pytest.raises(ValueError, match="need i >= 1"):
+        pi.left_s(0)
+
+
 def test_descents_of_21543():
     pi = Permutation.parse("21543")
     assert pi.left_descents() == {1, 3, 4}
