@@ -275,6 +275,17 @@ class BumplessPipeDream:
         self.rows = rs
         self._perm = None  # (rows, permutation) once validate() passed
 
+    @classmethod
+    def _of(cls, rows: tuple[str, ...], like=None) -> "BumplessPipeDream":
+        """The grid of rows, unchecked: rows the library built from checked
+        rows.  like, if given, is a grid of the same permutation; if it was
+        validated, its permutation carries over untraced."""
+        out = cls.__new__(cls)
+        out.rows = rows
+        memo = like._perm if like is not None else None
+        out._perm = (rows, memo[1]) if memo and memo[0] is like.rows else None
+        return out
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -289,9 +300,7 @@ class BumplessPipeDream:
     def identity(cls, n: int) -> "BumplessPipeDream":
         if n < 1:
             raise ValueError("size must be positive")
-        return cls(
-            "|" * i + "r" + "-" * (n - 1 - i) for i in range(n)
-        )
+        return cls._of(tuple("|" * i + "r" + "-" * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def rothe(cls, pi: Permutation, n: int | None = None) -> "BumplessPipeDream":
@@ -317,7 +326,7 @@ class BumplessPipeDream:
                 else:
                     chars.append(".")
             rows.append("".join(chars))
-        return cls(rows)
+        return cls._of(tuple(rows))
 
     def grow_to(self, m: int) -> "BumplessPipeDream":
         """Embed into an m x m grid by appending identity rows and columns."""
@@ -325,20 +334,11 @@ class BumplessPipeDream:
         while len(rows) < m:
             n = len(rows)
             rows = tuple(row + "-" for row in rows) + ("|" * n + "r",)
-        return self if rows is self.rows else self._reborder(rows)
+        return self if rows is self.rows else self._of(rows, self)
 
     def trim(self) -> "BumplessPipeDream":
         """Strip the identity borders."""
-        return self._reborder(_trim_rows(self.rows))
-
-    def _reborder(self, rows: tuple[str, ...]) -> "BumplessPipeDream":
-        """The grid of rows, which differ from self's by identity borders.
-        Those hold no blank and no cross, so the permutation of a validated
-        grid carries over untraced."""
-        out = BumplessPipeDream(rows)
-        if self._perm is not None and self._perm[0] is self.rows:
-            out._perm = (out.rows, self._perm[1])
-        return out
+        return self._of(_trim_rows(self.rows), self)
 
     def blanks(self) -> list[tuple[int, int]]:
         return [
@@ -369,9 +369,8 @@ class BumplessPipeDream:
             except InvalidDiagramError:
                 pass
             else:
-                return BpdTrace(
-                    Permutation(word), {p: tuple(sorted(v)) for p, v in pairs.items()}
-                )
+                pairs = {p: tuple(sorted(v)) for p, v in pairs.items()}
+                return BpdTrace(Permutation._of(word), pairs)
         _diagnose(rows)
         raise InvariantError(f"the sweep rejects {rows} but no check names a fault")
 
@@ -391,9 +390,10 @@ class BumplessPipeDream:
                 raise InvalidDiagramError(
                     f"pipes {sorted(pair)} cross twice at {positions}"
                 )
+        # With no pair crossing twice, the crossing pairs are the inversions.
         pi = trace.perm
         count = sum(row.count(".") for row in rows)
-        if count != pi.length():
+        if count != len(trace.pair_crossings):
             raise InvalidDiagramError(
                 f"{count} blanks but permutation length {pi.length()}"
             )
@@ -432,17 +432,14 @@ class BumplessPipeDream:
         if rows in seen:
             return None
         seen.add(rows)
-        result = BumplessPipeDream(rows)
         try:
-            new_pi = result.validate()
+            new_pi = BumplessPipeDream._of(rows).validate()
         except InvalidDiagramError as exc:
             raise MoveError(f"droop breaks the diagram: {exc}") from exc
-        pi = self.validate()
-        if new_pi != pi:
+        if new_pi != self.validate():
             raise MoveError("droop changed the permutation")
         # Keep the parent's Permutation: one enumeration then holds one.
-        result._perm = (result.rows, pi)
-        return result
+        return BumplessPipeDream._of(rows, self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BumplessPipeDream) and _trim_rows(
@@ -552,9 +549,9 @@ def _pop(diagram: BumplessPipeDream, known: Optional[BumplessPipeDream]) -> PopR
         x, y = x2, y + 1
     else:  # pragma: no cover
         raise InvariantError("pop cascade did not terminate")
-    result = BumplessPipeDream(_trim_rows(rows))
-    if known is not None and result == known:
-        result._perm = (result.rows, known.validate())
+    result = BumplessPipeDream._of(_trim_rows(rows))
+    if result == known:
+        result = BumplessPipeDream._of(result.rows, known)
     if result.validate() != pi.left_s(a):
         raise InvariantError("pop changed the permutation incorrectly")
     return PopResult(a, r, result, tuple(footprints))
@@ -597,7 +594,7 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
         bx, by = x0, by - 1
     else:  # pragma: no cover
         raise InvariantError("insert cascade did not terminate")
-    cur = BumplessPipeDream(rows)
+    cur = BumplessPipeDream._of(rows)
     try:
         # The pop's output check reads diagram's permutation when the pop
         # lands back on diagram's rows, so the round trip traces cur alone.

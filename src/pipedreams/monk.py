@@ -125,7 +125,7 @@ def bpd_min_droop(
     far = (a + x, b + y)
     if max(far) > diagram.n:
         diagram = diagram.grow_to(max(far))
-    return BumplessPipeDream(_droop_rows(diagram.rows, pos, far)), far
+    return BumplessPipeDream._of(_droop_rows(diagram.rows, pos, far)), far
 
 
 def _set_tiles(diagram: BumplessPipeDream, *changes) -> BumplessPipeDream:
@@ -137,7 +137,7 @@ def _set_tiles(diagram: BumplessPipeDream, *changes) -> BumplessPipeDream:
     rows = [list(row) for row in diagram.rows]
     for (i, j), letter in changes:
         rows[i - 1][j - 1] = letter
-    return BumplessPipeDream("".join(row) for row in rows)
+    return BumplessPipeDream._of(tuple("".join(row) for row in rows))
 
 
 def _bpd_cascade(
@@ -188,12 +188,10 @@ def _bpd_cascade(
 
 def _bpd_x(diagram: BumplessPipeDream, pi: Permutation, alpha: int):
     cur = diagram.grow_to(max(diagram.n, alpha))
-    turn_cols = [
-        j for j in range(1, cur.n + 1) if cur.tile(alpha, j) == "r"
-    ]
-    if not turn_cols:
+    j = cur.rows[alpha - 1].rfind("r") + 1
+    if not j:
         raise InvariantError(f"row {alpha} has no southeast turn")
-    return _bpd_cascade(cur, (alpha, max(turn_cols)), pi(alpha), [], [])
+    return _bpd_cascade(cur, (alpha, j), pi(alpha), [], [])
 
 
 def _bpd_m(diagram: BumplessPipeDream, pi: Permutation, s: int, beta: int):

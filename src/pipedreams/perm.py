@@ -211,7 +211,7 @@ def multiply_word(word: Iterable[int]) -> tuple[Permutation, bool]:
         if w[i - 1] > w[i]:
             reduced = False
         w[i - 1], w[i] = w[i], w[i - 1]
-    return Permutation(w), reduced
+    return Permutation._of(w), reduced
 
 
 def reduced_words(pi: Permutation) -> frozenset[tuple[int, ...]]:

@@ -327,6 +327,60 @@ def test_every_bumpless_move_of_s4_traces_only_its_input_and_output(traced):
             assert traced == [out.rows], (d.rows, move)
 
 
+@pytest.fixture
+def constructed(monkeypatch):
+    """One entry per grid built through the checked public constructor."""
+    calls = []
+    real = BumplessPipeDream.__init__
+
+    def counting(self, rows):
+        calls.append(rows)
+        real(self, rows)
+
+    monkeypatch.setattr(BumplessPipeDream, "__init__", counting)
+    return calls
+
+
+def test_internal_grids_skip_the_checked_constructor(constructed):
+    # Insertions, pops and Monk cascades build every grid from checked rows
+    # through BumplessPipeDream._of; only the caller's grids were checked.
+    pi = Permutation.parse("2153746")
+    diagrams = enumerate_pipe_dreams(pi)
+    moves = [(move, enumerate_bpds(base)) for _, base, move, _ in _moves(4)]
+    constructed.clear()
+    for d in diagrams:
+        phi_inverse(d)
+    for move, grids in moves:
+        for b in grids:
+            MODELS["bpd"].apply(b, move)
+    assert len(diagrams) == 75
+    assert constructed == []
+
+
+def test_tables_and_builders_emit_only_known_letters():
+    # _of checks no letter, so every letter the library writes is checked here.
+    tables = [
+        bumpless._LIFT,
+        bumpless._UNRUN_NS,
+        bumpless._UNRUN_EW,
+        bumpless._TURN_EAST,
+        bumpless._TURN_NORTH,
+        bumpless._RUN_EW,
+        bumpless._RUN_NS,
+        bumpless._LAND,
+    ]
+    emitted = "".join(v for table in tables for v in table.values())
+    for table in (bumpless._COLUMN_MOVE, bumpless._REVERSE):
+        emitted += "".join(pair for pair, _ in table.values())
+    for n in range(1, 7):
+        emitted += "".join(BumplessPipeDream.identity(n).rows)
+    for pi in symmetric_group(5):
+        d = BumplessPipeDream.rothe(pi, 6)
+        emitted += "".join(d.rows + d.grow_to(8).rows)
+    assert set(emitted) <= bumpless._LETTERS
+    assert set(".|-rj+b") <= set(emitted)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_crossings_match_oracle(n):
     for rows in brute_grids(n):

@@ -23,6 +23,7 @@ import pytest
 
 from pipedreams import (
     BumplessPipeDream,
+    InvalidDiagramError,
     MoveError,
     Permutation,
     enumerate_bpds,
@@ -199,3 +200,19 @@ def test_trace_outcomes_of_mutated_grids():
     assert _digest(lines) == (
         "502b9e8a0dbcb269059eb69f6de99f8a227db856997884b86e7fe3a7c6ef7940"
     )
+
+
+def test_validated_mutated_grids_have_one_blank_per_inversion():
+    # validate() compares the blanks with the crossing pairs; each pair
+    # crosses once, so those are the inversions the message quotes.
+    accepted = 0
+    for rows in _mutated_grids(100_000, seed=12):
+        d = BumplessPipeDream(rows)
+        try:
+            pi = d.validate()
+        except InvalidDiagramError:
+            continue
+        accepted += 1
+        blanks = len(d.blanks())
+        assert blanks == len(d.trace().pair_crossings) == pi.length(), rows
+    assert accepted == 5759
