@@ -35,36 +35,33 @@ _MASK = {
 _LETTERS = frozenset(_MASK)
 
 
-def _sweep(rows: tuple[str, ...], at: Optional[tuple[int, int]] = None) -> tuple:
+def _sweep(rows: tuple[str, ...]) -> tuple:
     """Read every pipe of rows in one pass, bottom row first and each row
     from the west.  Pipes run only north and east, so the pipes on a tile's
     S and W edges are known before it is read: up[j - 1] on the S edge in
     column j, carry on the W edge.  Pipe k enters column k from the south.
+    rows may be the bottom rows of a grid, numbered from 1 at the top of
+    rows.
 
-    Returns (word, pairs, pipes): word[i - 1] is the pipe leaving through
+    Returns (word, pairs, up): word[i - 1] is the pipe leaving through
     row i, pairs maps each pair of pipes to the tiles where they cross, in
-    sweep order, and pipes is the (S, W) pair of pipes at the tile at.
-    Bump tiles are read, not rejected.
+    sweep order, and up[j - 1] is the pipe leaving the top row through
+    column j (None for every column of a whole grid).  Bump tiles are read,
+    not rejected.
 
     Raises InvalidDiagramError where a tile's S or W edge does not match the
     pipes that reach it, or a row ends with no pipe leaving east.  No other
-    edge needs a check: N and E edges are the next tiles' S and W, and as
-    no tile copies or drops a pipe, n rows that each pass one pipe east
-    pass all n, so up is empty after the top row.
+    edge needs a check on a whole grid: N and E edges are the next tiles' S
+    and W, and as no tile copies or drops a pipe, n rows that each pass one
+    pipe east pass all n, so up is empty after the top row.
     """
-    n = len(rows)
-    up: list[Optional[int]] = list(range(1, n + 1))
-    word = [0] * n
+    up: list[Optional[int]] = list(range(1, len(rows[0]) + 1))
+    word = [0] * len(rows)
     pairs: dict[frozenset[int], list[tuple[int, int]]] = {}
-    pipes = None
-    ai, aj = at or (0, 0)
-    for i in range(n, 0, -1):
-        hit = aj if i == ai else 0
+    for i in range(len(rows), 0, -1):
         carry = None
         for j, t in enumerate(rows[i - 1], 1):
             south = up[j - 1]
-            if j == hit:
-                pipes = (south, carry)
             mask = _MASK[t]
             if (south is None) == bool(mask & _S) or (carry is None) == bool(
                 mask & _W
@@ -81,7 +78,7 @@ def _sweep(rows: tuple[str, ...], at: Optional[tuple[int, int]] = None) -> tuple
         if carry is None:
             raise InvalidDiagramError(f"no pipe leaves at row {i}")
         word[i - 1] = carry
-    return word, pairs, pipes
+    return word, pairs, up
 
 
 def _diagnose(rows: tuple[str, ...]) -> None:

@@ -59,7 +59,10 @@ def _read_json(path: str) -> dict:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("the JSON input is nested too deeply") from exc
 
 
 def _parse_diagram(data):
@@ -152,6 +155,8 @@ def _cmd_phi(args) -> int:
 
 def _cmd_pop(args) -> int:
     diagram = _parse_diagram(_read_json(args.file))
+    # Only a reduced diagram pops; a bpd pop validates its input anyway.
+    diagram.perm()
     res = model_of(diagram).pop(diagram)
     if args.pretty:
         print(f"a={res.a} r={res.r}")

@@ -134,10 +134,10 @@ def _set_tiles(diagram: BumplessPipeDream, *changes) -> BumplessPipeDream:
     No edge is checked: callers only swap a '+' and a 'b' they have just
     read, and those two tiles touch the same four edges.
     """
-    rows = [list(row) for row in diagram.rows]
+    rows = list(diagram.rows)
     for (i, j), letter in changes:
-        rows[i - 1][j - 1] = letter
-    return BumplessPipeDream._of(tuple("".join(row) for row in rows))
+        rows[i - 1] = rows[i - 1][: j - 1] + letter + rows[i - 1][j:]
+    return BumplessPipeDream._of(tuple(rows))
 
 
 def _bpd_cascade(
@@ -154,30 +154,33 @@ def _bpd_cascade(
         footprints.append(pos)
         t = cur.tile(*corner)
         if t == "j":
-            # The tracked pipe now turns east where it enters the corner row,
-            # at the first tile west of the corner that it does not run over.
-            _, _, (_, west) = _sweep(cur.rows, corner)
-            if west != tracked:
+            # The tracked pipe, leaving the rows from the corner down through
+            # the corner, now turns east where it enters the corner row, at
+            # the first tile west of the corner that it does not run over.
+            i, j = corner
+            if _sweep(cur.rows[i - 1 :])[2][j - 1] != tracked:
                 raise InvariantError(
                     f"the pipe at {corner} does not enter in column {tracked}"
                 )
-            i, j = corner
             j -= 1
             while cur.rows[i - 1][j - 1] in "-+":
                 j -= 1
             pos = (i, j)
         elif t == "b":
-            # The bump's S pipe is the tracked pipe's partner.
-            _, pairs, (partner, _) = _sweep(cur.rows, corner)
-            pair = (tracked, partner)
-            positions = pairs.get(frozenset(pair), ())
-            if not positions:
-                cur = _set_tiles(cur, (corner, "+"))
+            # With a '+' at the corner, the pair crossing there is the
+            # tracked pipe and its partner.
+            cur = _set_tiles(cur, (corner, "+"))
+            crossings = _sweep(cur.rows)[1].items()
+            pair, positions = next(x for x in crossings if corner in x[1])
+            if tracked not in pair:
+                raise InvariantError(f"the pipe {tracked} does not reach {corner}")
+            others = [p for p in positions if p != corner]
+            if not others:
                 steps.append(("bump_to_cross", (corner,)))
                 footprints.append(corner)
                 return cur.trim(), steps, footprints, None
-            cross = _unique_crossing(pair, positions)
-            cur = _set_tiles(cur, (corner, "+"), (cross, "b"))
+            cross = _unique_crossing(pair, others)
+            cur = _set_tiles(cur, (cross, "b"))
             steps.append(("cross_bump_swap", (corner, cross)))
             footprints.append(cross)
             pos = cross

@@ -116,9 +116,6 @@ class PipeDream:
     def rows(self) -> tuple[int, ...]:
         return tuple(r for r, _ in self.sorted_crosses())
 
-    def product_perm(self) -> Permutation:
-        return multiply_word(self.word())[0]
-
     def perm(self) -> Permutation:
         """The permutation of the diagram; raises if a pair crosses twice."""
         pi, reduced = multiply_word(self.word())

@@ -81,9 +81,6 @@ class SparsePolynomial:
                 out[e] = out.get(e, 0) + c1 * c2
         return SparsePolynomial(out)
 
-    def coefficient(self, exponents: Iterable[int]) -> int:
-        return self.terms.get(_trim(tuple(exponents)), 0)
-
     def swap_vars(self, i: int) -> "SparsePolynomial":
         """Exchange the variables x_i and x_{i+1} in every term."""
         if i < 1:

@@ -29,9 +29,7 @@ def render_pipe_dream(diagram: PipeDream, pretty: bool = False) -> str:
     +.
     .
     """
-    n = max(
-        [r + c for r, c in diagram.crosses] + [max(diagram.product_perm().size, 1)]
-    )
+    n = max((r + c for r, c in diagram.crosses), default=1)
     cross_ch = "┼" if pretty else "+"
     elbow_ch = "·" if pretty else "."
     lines = []

@@ -91,8 +91,9 @@ def model_of(diagram) -> Model:
 
 class Atlas:
     """One call's memos: diagrams(model, pi), schubert(pi, ambient) and
-    image(b), phi of an enumerated grid keyed by its rows (all phi reads).
-    They call this module's names, which profilers and tests may rebind."""
+    image(b), phi of an enumerated grid keyed by its rows.  The phi of a
+    move's output in commutes is not kept.  They call this module's names,
+    which profilers and tests may rebind."""
 
     def __init__(self):
         self.diagrams = cache(lambda model, pi: MODELS[model].enumerate(pi))

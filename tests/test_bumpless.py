@@ -194,7 +194,7 @@ def test_each_rejection_is_diagnosed_once(rows, message, diagnosed):
 
 
 def test_a_sweep_rejecting_a_legal_grid_is_an_invariant_error(monkeypatch):
-    def rejecting(rows, at=None):
+    def rejecting(rows):
         raise InvalidDiagramError("rejected")
 
     monkeypatch.setattr(bumpless, "_sweep", rejecting)
@@ -248,9 +248,9 @@ def swept(monkeypatch):
     calls = []
     real = bumpless._sweep
 
-    def counting(rows, at=None):
+    def counting(rows):
         calls.append(rows)
-        return real(rows, at)
+        return real(rows)
 
     monkeypatch.setattr(bumpless, "_sweep", counting)
     return calls
@@ -392,20 +392,22 @@ def test_crossings_match_oracle(n):
 
 
 def assert_sweep_matches_oracle(rows):
-    """The sweep's exit word, crossings and (S, W) pipes of every tile
-    against helpers.trace_grid."""
+    """The sweep's exit word and crossings against helpers.trace_grid, and
+    the exit word and the pipes leaving the top of the bottom rows from
+    each row i >= 2 down: those entering row i - 1 from the south."""
     n = len(rows)
     entered = {}
     exit_rows, pair_cells = trace_grid(rows, entered)
-    word, pairs, pipes = _sweep(rows)
-    assert pipes is None
+    word, pairs, up = _sweep(rows)
+    assert up == [None] * n
     assert word == sorted(exit_rows, key=exit_rows.get), rows
     assert {p: sorted(v) for p, v in pairs.items()} == {
         p: sorted(v) for p, v in pair_cells.items()
     }, rows
-    for i, j in itertools.product(range(1, n + 1), repeat=2):
-        want = (entered.get((i, j, "S")), entered.get((i, j, "W")))
-        assert _sweep(rows, (i, j))[2] == want, (rows, (i, j))
+    for i in range(2, n + 1):
+        bottom_word, _, up = _sweep(rows[i - 1 :])
+        assert bottom_word == word[i - 1 :], (rows, i)
+        assert up == [entered.get((i - 1, j, "S")) for j in range(1, n + 1)], (rows, i)
 
 
 def test_sweep_matches_oracle_on_s7_s8_enumeration_prefixes():

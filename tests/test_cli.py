@@ -1,8 +1,12 @@
 """Tests for the command line interface."""
 
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from pipedreams import BumplessPipeDream, Permutation, PipeDream
 from pipedreams.cli import main
@@ -231,6 +235,71 @@ def test_unknown_model(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert run(capsys, "pop", "/nonexistent/diagram.json")[0] == 2
+
+
+def test_pop_refuses_a_non_reduced_pipe_dream(tmp_path, capsys):
+    payload = {"model": "pd", "crosses": [[1, 2], [2, 1]]}
+    code, out, err = run(capsys, "pop", write_json(tmp_path, "d.json", payload))
+    assert (code, out) == (2, "")
+    assert err == "error: pipe dream [(1, 2), (2, 1)] is not reduced\n"
+
+
+DIAGRAM_COMMANDS = [
+    ["render"],
+    ["pop"],
+    ["phi"],
+    ["phi", "--inverse"],
+    ["insert", "--a", "1", "--r", "1"],
+    ["monk", "x", "--alpha", "2"],
+    ["monk", "m", "--s", "1", "--beta", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", DIAGRAM_COMMANDS, ids=" ".join)
+def test_deeply_nested_json_is_bad_input(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    argv = list(argv)
+    argv.insert(2 if argv[0] == "monk" else 1, str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: the JSON input is nested too deeply\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# Payloads that name a model and get its fields nearly right.
+NEAR_MISSES = st.fixed_dictionaries(
+    {"model": st.sampled_from(["pd", "bpd"])},
+    optional={
+        "crosses": st.lists(st.lists(st.integers(-1, 8), max_size=3), max_size=6)
+        | JSON_VALUES,
+        "tiles": st.lists(
+            st.lists(st.sampled_from([*".|-rj+b", "", "r-", 1]), max_size=5)
+            | st.text(".|-rj+bx", max_size=5),
+            max_size=5,
+        )
+        | JSON_VALUES,
+        "n": st.integers(-1, 6) | JSON_VALUES,
+    },
+)
+
+
+@seed(17)
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(DIAGRAM_COMMANDS), (JSON_VALUES | NEAR_MISSES).map(json.dumps))
+@example(["render"], "[" * 100_000)
+@example(["monk", "m", "--s", "1", "--beta", "2"], "[" * 100_000)
+def test_any_diagram_input_exits_0_or_2(argv, text):
+    # The file argument defaults to stdin.
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2), (argv, text)
 
 
 @pytest.mark.parametrize(

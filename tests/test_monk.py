@@ -148,6 +148,41 @@ def test_a_corrupted_min_droop_step_raises(monkeypatch, old, new):
     assert raised > 100
 
 
+def test_a_j_corner_sweeps_the_rows_from_the_corner_down(monkeypatch):
+    events = []
+    real_droop, real_sweep = monk.bpd_min_droop, monk._sweep
+
+    def drooping(diagram, pos):
+        out, corner = real_droop(diagram, pos)
+        events.append(("droop", out.rows, corner))
+        return out, corner
+
+    def sweeping(rows):
+        events.append(("sweep", rows, None))
+        return real_sweep(rows)
+
+    monkeypatch.setattr(monk, "bpd_min_droop", drooping)
+    monkeypatch.setattr(monk, "_sweep", sweeping)
+    for _, base, move, _ in _moves(4):
+        for d in enumerate_bpds(base):
+            MODELS["bpd"].apply(d, move)
+    corners = 0
+    for (kind, rows, corner), after in zip(events, events[1:]):
+        if kind == "droop" and rows[corner[0] - 1][corner[1] - 1] == "j":
+            assert after == ("sweep", rows[corner[0] - 1 :], None), corner
+            corners += 1
+    assert corners == 19
+
+
+def test_a_b_corner_refuses_a_pipe_that_does_not_cross_there():
+    # x_1 on the identity of S3 droops pipe 1 onto pipe 2's turn at (2, 2).
+    d = BumplessPipeDream.identity(3)
+    out, _, _, _ = monk._bpd_cascade(d, (1, 1), 1, [], [])
+    assert out.rows == (".r", "r+")
+    with pytest.raises(InvariantError, match="does not reach"):
+        monk._bpd_cascade(d, (1, 1), 3, [], [])
+
+
 @seed(11)
 @settings(max_examples=60, deadline=None)
 @given(

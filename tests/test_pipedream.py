@@ -1,7 +1,9 @@
 """Tests for ordinary pipe dreams and compatible sequences."""
 
-import pytest
+import random
 from itertools import combinations
+
+import pytest
 
 from hypothesis import given, seed, settings, strategies as st
 
@@ -27,6 +29,7 @@ from pipedreams import (
     trace_pipes,
 )
 from pipedreams.perm import multiply_word
+from pipedreams.render import render_pipe_dream
 
 ORACLE_4 = brute_pipe_dreams(4)
 
@@ -216,3 +219,18 @@ def test_trace_matches_walk_on_every_s5_subset():
 @given(st.frozensets(st.sampled_from(staircase_cells(8))))
 def test_trace_matches_walk_on_s8_subsets(crosses):
     assert_trace_matches_walk(crosses)
+
+
+def test_the_drawn_staircase_holds_the_product_of_any_cross_set():
+    # render_pipe_dream draws max(r + c) rows: the letter s_{r+c-1} of a
+    # cross moves only points up to r + c, so the product, reduced or not,
+    # fixes every point beyond.
+    rng = random.Random(11)
+    for _ in range(3000):
+        cells = staircase_cells(rng.randint(2, 9))
+        crosses = rng.sample(cells, rng.randint(1, min(len(cells), 12)))
+        size = max(r + c for r, c in crosses)
+        one_line, _ = apply_word(word_of(crosses), size + 2)
+        assert len(one_line) <= size, crosses
+        assert len(render_pipe_dream(PipeDream(crosses)).splitlines()) == size
+    assert render_pipe_dream(PipeDream()) == "."
