@@ -11,10 +11,17 @@ west-to-north) that appears only in intermediate states of insertion moves.
 Pipe k enters the south border at the bottom of column k heading north and
 leaves through the east border; the diagram's permutation sends the exit row
 of pipe k back to k.  Tiles are addressed (row, col), 1-indexed.
+
+Two enumerators give the same set.  enumerate_bpds builds each grid row by
+row, checked as each tile is placed, with no droop and no trace; it serves
+every caller in the library.  iter_bpds closes the Rothe diagram under
+droops, validating each new grid; it is kept for its visiting order, which
+the order goldens pin, and as the independent oracle of enumerate_bpds.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyDiagramError, InvalidDiagramError, InvariantError, MoveError
@@ -460,10 +467,16 @@ class BumplessPipeDream:
     def from_json(cls, data: dict) -> "BumplessPipeDream":
         if data.get("model") != "bpd":
             raise ValueError("not a bumpless pipe dream payload")
+        if "tiles" not in data:
+            raise ValueError("the bumpless pipe dream payload has no field 'tiles'")
         tiles = data["tiles"]
+        if not isinstance(tiles, list):
+            raise ValueError("the field 'tiles' must be a list of rows")
         if len(tiles) != data.get("n", len(tiles)):
             raise ValueError("tile grid does not match declared size")
         for row in tiles:
+            if not isinstance(row, (list, str)):
+                raise ValueError("each row of the field 'tiles' must be a list")
             for tile in row:
                 if not isinstance(tile, str) or len(tile) != 1:
                     raise ValueError(f"a tile must be one letter, not {tile!r}")
@@ -606,7 +619,9 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
 def iter_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
     """Generate all bumpless pipe dreams of pi by closing Rothe under droops.
 
-    Each turn tries the blanks where droop() finds its '|' and '-'."""
+    Each turn tries the blanks where droop() finds its '|' and '-'.  Use it
+    for the droop order, which is pinned, or a lazy prefix; enumerate_bpds
+    builds the whole set several times faster without a droop or a trace."""
     start = BumplessPipeDream.rothe(pi, max(pi.size, 1))
     seen = {start.rows}
     queue = [start]
@@ -627,13 +642,65 @@ def iter_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
                             queue.append(nxt)
 
 
+def _build_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
+    """The bumpless pipe dreams of pi, built tile by tile in _sweep's order
+    and state (up[j] on a tile's S edge, carry on its W edge).  No pipe
+    gives '.'; one pipe goes north ('|', 'j') or east ('r', '-'), w(i) only
+    east in row i, which it must leave; two cross ('+') only as an inversion
+    of pi not yet crossed.  Row i ends carrying w(i), every inversion of
+    w(i) crossed: validate()'s checks, so each grid carries pi."""
+    n = max(pi.size, 1)
+    w = [pi(i) for i in range(1, n + 1)]
+    # The inversion of the pipes leaving rows a < b (from 0) is bit b * n + a:
+    # the pairs due to have crossed once row i is done are the bits from i * n.
+    bit: dict[tuple[int, int], int] = {}
+    for a, b in itertools.combinations(range(n), 2):
+        if w[a] > w[b]:
+            bit[w[a], w[b]] = bit[w[b], w[a]] = 1 << (b * n + a)
+    every = sum(bit.values()) // 2
+    # (row, column, up, carry, crossed pairs, row so far, rows below it)
+    stack = [(n - 1, 0, tuple(range(1, n + 1)), None, 0, "", ())]
+    while stack:
+        i, j, up, carry, crossed, row, rows = stack.pop()
+        while True:
+            if j == n:
+                if carry != w[i] or crossed >> i * n != every >> i * n:
+                    break
+                rows, row, j, carry, i = (row,) + rows, "", 0, None, i - 1
+                if i >= 0:
+                    continue
+                if sum(r.count(".") for r in rows) != crossed.bit_count() or any(up):
+                    raise InvariantError(f"the row builder made {rows} for {pi}")
+                grid = BumplessPipeDream._of(rows)
+                grid._perm = (rows, pi)
+                yield grid
+                break
+            p = up[j]
+            if p is None:
+                if carry is not None and carry != w[i]:
+                    north = up[:j] + (carry,) + up[j + 1 :]
+                    stack.append((i, j + 1, north, None, crossed, row + "j", rows))
+                row += "." if carry is None else "-"
+            elif carry is None:
+                if p != w[i]:
+                    stack.append((i, j + 1, up, None, crossed, row + "|", rows))
+                up, carry, row = up[:j] + (None,) + up[j + 1 :], p, row + "r"
+            else:
+                b = bit.get((p, carry), 0)
+                if not b or crossed & b:
+                    break
+                crossed, row = crossed | b, row + "+"
+            j += 1
+
+
 def enumerate_bpds(pi: Permutation) -> frozenset[BumplessPipeDream]:
-    """All bumpless pipe dreams of pi.
+    """All bumpless pipe dreams of pi, built row by row; every grid shares
+    pi as its permutation.
 
     >>> len(enumerate_bpds(Permutation([3, 2, 1])))
     1
     """
-    return frozenset(iter_bpds(pi))
+    return frozenset(_build_bpds(pi))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -215,21 +215,26 @@ def multiply_word(word: Iterable[int]) -> tuple[Permutation, bool]:
 
 
 def reduced_words(pi: Permutation) -> frozenset[tuple[int, ...]]:
-    """All reduced words of pi, peeling right descents recursively.
+    """All reduced words of pi, built one length at a time.
 
     A word (a_1, ..., a_l) multiplies to pi left to right:
-    pi == s_{a_1} s_{a_2} ... s_{a_l}.  The memo lives for one call.
+    pi == s_{a_1} s_{a_2} ... s_{a_l}.  Peeling right descents from pi
+    gives the permutations below it, level by level down to the identity.
+    The words of each level are then built from the level below, which is
+    dropped once the level above is built.  The words of u ending in i are
+    those of u s_i with i appended, so no two are equal and a list holds
+    them.
     """
-    memo = {Permutation(): frozenset({()})}
-
-    def words(u: Permutation) -> frozenset[tuple[int, ...]]:
-        if u not in memo:
-            memo[u] = frozenset(
-                w + (i,) for i in u.right_descents() for w in words(u.right_s(i))
-            )
-        return memo[u]
-
-    return words(pi)
+    levels = [{pi}]
+    for _ in range(pi.length()):
+        levels.append({u.right_s(i) for u in levels[-1] for i in u.right_descents()})
+    words: dict[Permutation, list[tuple[int, ...]]] = {Permutation(): [()]}
+    for level in reversed(levels[:-1]):
+        words = {
+            u: [w + (i,) for i in u.right_descents() for w in words[u.right_s(i)]]
+            for u in level
+        }
+    return frozenset(words[pi])
 
 
 def one_reduced_word(pi: Permutation) -> tuple[int, ...]:

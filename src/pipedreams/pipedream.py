@@ -168,7 +168,14 @@ class PipeDream:
     def from_json(cls, data: dict) -> "PipeDream":
         if data.get("model") != "pd":
             raise ValueError("not a pipe dream payload")
-        return cls((r, c) for r, c in data["crosses"])
+        if "crosses" not in data:
+            raise ValueError("the pipe dream payload has no field 'crosses'")
+        crosses = data["crosses"]
+        if not isinstance(crosses, list) or not all(
+            isinstance(cross, list) and len(cross) == 2 for cross in crosses
+        ):
+            raise ValueError("the field 'crosses' must be a list of [row, col] pairs")
+        return cls((r, c) for r, c in crosses)
 
 
 class PipeDreamTrace:

@@ -488,9 +488,15 @@ def test_x_move_neither_copies_nor_retraces_its_input(traced, monkeypatch):
 
 def test_enumeration_traces_no_grid_twice(traced):
     # A droop landing on rows already visited is not validated again.
-    enumerate_bpds(Permutation.parse("21786534"))
+    list(iter_bpds(Permutation.parse("21786534")))
     assert len(traced) == len(set(traced))
     assert len(traced) <= 1600
+
+
+def test_enumerate_bpds_sweeps_no_grid(swept):
+    # The row builder makes the checks of a sweep as it places each tile.
+    assert len(enumerate_bpds(Permutation.parse("21786534"))) == 1315
+    assert swept == []
 
 
 def test_every_diagram_of_an_enumeration_shares_one_permutation():
@@ -606,6 +612,38 @@ def test_enumeration_matches_brute_force(pi):
     lib = {d.rows for d in enumerate_bpds(pi)}
     oracle = ORACLE_4 if pi.size <= 4 else ORACLE_5
     assert lib == oracle.get(pi.word, set())
+
+
+def assert_builder_matches_droop_closure(pi):
+    built = enumerate_bpds(pi)
+    closed = list(iter_bpds(pi))
+    assert {d.rows for d in built} == {d.rows for d in closed}
+    assert len(built) == len(closed)
+    for d in built:
+        assert d.validate() is pi
+        assert BumplessPipeDream(d.rows).validate() == pi
+
+
+def test_builder_matches_droop_closure_on_s6():
+    for pi in symmetric_group(6):
+        assert_builder_matches_droop_closure(pi)
+
+
+def test_builder_matches_droop_closure_on_s7_s8_samples():
+    rng = random.Random(18)
+    sample = [Permutation(rng.sample(range(1, n + 1), n)) for n in (7, 8) * 60]
+    sample = [pi for pi in sample if pi.length() <= 14]
+    assert len(sample) >= 40
+    for pi in sample:
+        assert_builder_matches_droop_closure(pi)
+
+
+def test_builder_needs_no_recursion_at_size_40():
+    pi = Permutation([*range(1, 39), 40, 39])
+    diagrams = enumerate_bpds(pi)
+    assert pi.size == 40 and len(diagrams) == 39
+    for d in diagrams:
+        assert d.n == 40 and BumplessPipeDream(d.rows).validate() == pi
 
 
 @pytest.mark.parametrize("pi", list(symmetric_group(4)))

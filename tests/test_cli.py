@@ -244,6 +244,26 @@ def test_pop_refuses_a_non_reduced_pipe_dream(tmp_path, capsys):
     assert err == "error: pipe dream [(1, 2), (2, 1)] is not reduced\n"
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"model": "pd"}, "the pipe dream payload has no field 'crosses'"),
+        (
+            {"model": "bpd", "n": 1},
+            "the bumpless pipe dream payload has no field 'tiles'",
+        ),
+        (
+            {"model": "pd", "crosses": [[]]},
+            "the field 'crosses' must be a list of [row, col] pairs",
+        ),
+    ],
+    ids=["pd-no-crosses", "bpd-no-tiles", "pd-empty-cross"],
+)
+def test_a_missing_or_misshapen_field_is_named(tmp_path, capsys, payload, message):
+    code, out, err = run(capsys, "render", write_json(tmp_path, "d.json", payload))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 DIAGRAM_COMMANDS = [
     ["render"],
     ["pop"],

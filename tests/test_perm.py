@@ -7,6 +7,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from helpers import apply_word
+
 from pipedreams import (
     Permutation,
     is_bruhat_cover,
@@ -157,6 +159,38 @@ def test_reduced_words_retains_nothing_between_calls():
         tracemalloc.stop()
     assert kept < 4096
     assert reduced_words(pi) is not reduced_words(pi)
+
+
+def test_reduced_words_match_brute_force_on_s5():
+    # Every reduced word of length k + 1 extends one of length k.
+    brute = {(): {()}}
+    level = [()]
+    while level:
+        level = [
+            w + (a,)
+            for w in level
+            for a in range(1, 5)
+            if apply_word(w + (a,), 5)[1]
+        ]
+        for w in level:
+            brute.setdefault(apply_word(w, 5)[0], set()).add(w)
+    for pi in symmetric_group(5):
+        assert reduced_words(pi) == brute[pi.word]
+
+
+def test_reduced_words_drop_each_level_once_the_next_is_built():
+    pi = Permutation.parse("2176543")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        words = reduced_words(pi)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 8448
+    # Keeping the words of every level would peak above 3 times the result.
+    assert peak < 2.5 * kept
 
 
 def test_symmetric_group_sizes():
