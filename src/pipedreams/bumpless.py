@@ -353,12 +353,7 @@ class BumplessPipeDream:
         ]
 
     def weight(self) -> SparsePolynomial:
-        exp: list[int] = []
-        for i, _ in self.blanks():
-            while len(exp) < i:
-                exp.append(0)
-            exp[i - 1] += 1
-        return SparsePolynomial.monomial(exp)
+        return SparsePolynomial.monomial(row.count(".") for row in self.rows)
 
     def trace(self) -> BpdTrace:
         """Read every pipe; raises InvalidDiagramError on malformed grids.

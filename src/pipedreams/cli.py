@@ -82,7 +82,10 @@ def _parse_diagram(data):
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # json.dump writes the encoder's chunks as they come, so the whole
+    # document is never held as one string.
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _diagram_sort_key(d):

@@ -70,7 +70,7 @@ class Permutation:
     @classmethod
     def longest(cls, n: int) -> "Permutation":
         """The longest element of S_n."""
-        return cls(range(n, 0, -1))
+        return cls._of(list(range(n, 0, -1)))
 
     @property
     def size(self) -> int:
@@ -86,11 +86,11 @@ class Permutation:
         inv = [0] * len(self.word)
         for i, v in enumerate(self.word, start=1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation._of(inv)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         m = max(self.size, other.size)
-        return Permutation(self(other(i)) for i in range(1, m + 1))
+        return Permutation._of([self(other(i)) for i in range(1, m + 1)])
 
     def right_t(self, a: int, b: int) -> "Permutation":
         """Right-multiply by the transposition t_{a,b}: swap positions a and b."""
@@ -98,7 +98,7 @@ class Permutation:
             raise ValueError(f"need 1 <= a < b, got {(a, b)}")
         w = list(self.word) + list(range(len(self.word) + 1, b + 1))
         w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
-        return Permutation(w)
+        return Permutation._of(w)
 
     def right_s(self, i: int) -> "Permutation":
         return self.right_t(i, i + 1)

@@ -126,12 +126,10 @@ class PipeDream:
         return pi
 
     def weight(self) -> SparsePolynomial:
-        exp: list[int] = []
-        for r, _ in self.crosses:
-            while len(exp) < r:
-                exp.append(0)
-            exp[r - 1] += 1
-        return SparsePolynomial.monomial(exp)
+        rows = [r for r, _ in self.crosses]
+        return SparsePolynomial.monomial(
+            rows.count(i) for i in range(1, max(rows, default=0) + 1)
+        )
 
     def to_compatible(self) -> CompatibleSequence:
         self.perm()

@@ -8,6 +8,7 @@ staircase monomial of the longest element.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import InvariantError
@@ -32,10 +33,13 @@ class SparsePolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], int] = ()):
+        # Keys that trim to one exponent tuple add up; a zero sum is dropped.
         clean: dict[tuple[int, ...], int] = {}
         for exp, coef in dict(terms).items():
+            exp = _trim(tuple(exp))
+            coef += clean.pop(exp, 0)
             if coef:
-                clean[_trim(tuple(exp))] = coef
+                clean[exp] = coef
         self.terms = clean
 
     @classmethod
@@ -74,10 +78,8 @@ class SparsePolynomial:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                n = max(len(e1), len(e2))
-                e1p = e1 + (0,) * (n - len(e1))
-                e2p = e2 + (0,) * (n - len(e2))
-                e = _trim(tuple(a + b for a, b in zip(e1p, e2p)))
+                # The pairwise sum, then the tail of the longer tuple.
+                e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[len(e1):]
                 out[e] = out.get(e, 0) + c1 * c2
         return SparsePolynomial(out)
 
@@ -89,8 +91,7 @@ class SparsePolynomial:
         for exp, coef in self.terms.items():
             e = list(exp) + [0] * max(0, i + 1 - len(exp))
             e[i - 1], e[i] = e[i], e[i - 1]
-            key = _trim(tuple(e))
-            out[key] = out.get(key, 0) + coef
+            out[tuple(e)] = coef
         return SparsePolynomial(out)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
@@ -135,7 +136,7 @@ class SparsePolynomial:
     def from_json(cls, data: dict) -> "SparsePolynomial":
         out: dict[tuple[int, ...], int] = {}
         for term in data["terms"]:
-            exp = _trim(tuple(term["exponents"]))
+            exp = tuple(term["exponents"])
             out[exp] = out.get(exp, 0) + int(term["coefficient"])
         return cls(out)
 
@@ -164,7 +165,7 @@ def divided_difference(f: SparsePolynomial, i: int) -> SparsePolynomial:
             q = list(e)
             q[i - 1] = b + d
             q[i] = a - 1 - d
-            key = _trim(tuple(q))
+            key = tuple(q)
             out[key] = out.get(key, 0) + sign * coef
     result = SparsePolynomial(out)
     xi = SparsePolynomial.variable(i)

@@ -1,6 +1,8 @@
 """Tests for the pop-based bijection between bumpless pipe dreams and
 ordinary pipe dreams."""
 
+import random
+
 import pytest
 
 from pipedreams import (
@@ -70,3 +72,28 @@ def test_pops_read_off_the_compatible_sequence():
             r_seq = tuple(r for _, r in res.pops)
             assert res.sequence == CompatibleSequence(a_seq, r_seq)
             assert len(res.pops) == pi.length()
+
+
+def _s7_s8_sample(seed, count, most):
+    """A fixed-seed sample of S7 and S8 with 2 to `most` diagrams each."""
+    rng = random.Random(seed)
+    sample = []
+    while len(sample) < count:
+        n = rng.choice((7, 8))
+        pi = Permutation(rng.sample(range(1, n + 1), n))
+        if 2 <= len(enumerate_pipe_dreams(pi)) <= most:
+            sample.append(pi)
+    return sample
+
+
+@pytest.mark.parametrize("pi", _s7_s8_sample(19, 24, 40), ids=str)
+def test_phi_is_a_weight_preserving_bijection_past_s5(pi):
+    bpds = enumerate_bpds(pi)
+    images = {}
+    for b in bpds:
+        d = phi(b).pipe_dream()
+        assert d.weight() == b.weight()
+        assert phi_inverse(d) == b
+        images[d] = b
+    assert len(images) == len(bpds)
+    assert set(images) == set(enumerate_pipe_dreams(pi))

@@ -405,3 +405,26 @@ def test_bpd_grid_size_is_bounded(tmp_path, capsys, argv, n):
     else:
         assert (code, out) == (2, "")
         assert err == "error: the grid size n = 65 exceeds the bound 64\n"
+
+
+class _LargestWrite:
+    """A stdout stand-in that keeps only the total and the largest write."""
+
+    def __init__(self):
+        self.total = self.largest = 0
+
+    def write(self, text):
+        self.total += len(text)
+        self.largest = max(self.largest, len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enum_writes_its_json_in_chunks():
+    out = _LargestWrite()
+    with mock.patch("sys.stdout", out):
+        assert main(["enum", "21786534", "--model", "bpd"]) == 0
+    assert out.total > 64 * 1024
+    assert out.largest <= 64 * 1024

@@ -15,6 +15,7 @@ from pipedreams import (
     monk_covers,
     one_reduced_word,
     reduced_words,
+    schubert_polynomial,
     symmetric_group,
 )
 
@@ -270,3 +271,33 @@ def test_longest_element():
     assert w0.word == (4, 3, 2, 1)
     assert w0.length() == 6
     assert w0.inverse() == w0
+
+
+def test_unchecked_products_drop_trailing_fixed_points():
+    assert Permutation.longest(1).word == ()
+    assert Permutation.longest(0) == Permutation.identity()
+    assert Permutation([2, 1]).right_t(1, 2).word == ()
+    assert Permutation([1, 3, 2]).right_t(2, 4).word == (1, 4, 2, 3)
+    assert (Permutation([2, 3, 1]) * Permutation([3, 1, 2])).word == ()
+    assert Permutation([1, 2, 4, 3]).inverse().word == (1, 2, 4, 3)
+    for a, b in [(0, 1), (2, 2), (3, 1)]:
+        with pytest.raises(ValueError, match="need 1 <= a < b"):
+            Permutation([2, 1]).right_t(a, b)
+
+
+def test_schubert_polynomial_makes_no_checked_permutation(monkeypatch):
+    """The permutations perm.py builds from its own words skip the check
+    of __init__; only parsed or user-given words pay for it."""
+    pi = Permutation.parse("21786534")
+    checked = []
+    init = Permutation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        checked.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    schubert_polynomial(pi)
+    assert checked == []
+    Permutation([2, 1])
+    assert len(checked) == 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import S3_SCHUBERT
 from pipedreams import (
+    InvariantError,
     Permutation,
     SparsePolynomial,
     divided_difference,
@@ -159,3 +160,59 @@ def test_degree_equals_length():
     for pi in symmetric_group(4):
         S = schubert_polynomial(pi)
         assert {sum(e) for e in S.terms} == {pi.length()}
+
+
+# Exponent tuples of length 0 to 3, so trailing-zero twins such as (1,) and
+# (1, 0) meet in one dict and must be added, not overwritten.
+ragged_terms = st.dictionaries(
+    st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(tuple),
+    st.integers(min_value=-3, max_value=3),
+    max_size=6,
+)
+
+
+@settings(max_examples=200)
+@given(ragged_terms)
+def test_constructor_adds_keys_that_trim_alike(terms):
+    p = SparsePolynomial(terms)
+    assert p == sum(
+        (SparsePolynomial.monomial(e, c) for e, c in terms.items()),
+        start=SparsePolynomial(),
+    )
+    assert all(c and (not e or e[-1]) for e, c in p.terms.items())
+    assert SparsePolynomial.from_json(p.to_json()) == p
+    raw = {
+        "terms": [
+            {"exponents": list(e), "coefficient": c} for e, c in terms.items()
+        ]
+    }
+    assert SparsePolynomial.from_json(raw) == p
+
+
+def test_trailing_zero_twins_are_merged():
+    assert SparsePolynomial({(1,): 1, (1, 0): 1}) == SparsePolynomial({(1,): 2})
+    assert SparsePolynomial({(1, 0): 1, (1,): -1}) == SparsePolynomial()
+
+
+@settings(max_examples=100)
+@given(ragged_terms, ragged_terms)
+def test_product_adds_padded_exponents(d1, d2):
+    def pad(e):
+        return e + (0,) * (3 - len(e))
+
+    expect = SparsePolynomial()
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            e = tuple(a + b for a, b in zip(pad(e1), pad(e2)))
+            expect += SparsePolynomial.monomial(e, c1 * c2)
+    product = SparsePolynomial(d1) * SparsePolynomial(d2)
+    assert product == expect
+    assert all(not e or e[-1] for e in product.terms)
+
+
+def test_divided_difference_checks_against_swap_vars(monkeypatch):
+    """The exactness check compares with swap_vars, so a wrong swap is
+    caught even though the quotient is built without it."""
+    monkeypatch.setattr(SparsePolynomial, "swap_vars", lambda self, i: self)
+    with pytest.raises(InvariantError, match="not exact"):
+        divided_difference(x(1), 1)
