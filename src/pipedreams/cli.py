@@ -9,13 +9,13 @@ codes: 0 success, 1 a verification reported a failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 
 from .bijection import phi, phi_inverse
 from .bumpless import BumplessPipeDream, bpd_insert
-from .errors import InvalidDiagramError, InvalidSequenceError, MoveError
 from .perm import Permutation
 from .pipedream import PipeDream
 from .poly import schubert_polynomial
@@ -31,6 +31,9 @@ _MAX_COORD = 64
 # and schubert of one of size 10 takes about 10 s; both sizes are refused.
 _MAX_ENUM_SIZE = 8
 _MAX_SCHUBERT_SIZE = 9
+# The JSON encoder yields one chunk per token; _emit joins them into writes
+# of at most this many characters.
+_WRITE_BATCH = 64 * 1024
 
 
 def _max_group() -> int:
@@ -82,10 +85,17 @@ def _parse_diagram(data):
 
 
 def _emit(payload) -> None:
-    # json.dump writes the encoder's chunks as they come, so the whole
-    # document is never held as one string.
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # The whole document is never held as one string, and an unbuffered
+    # stdout gets one write per batch rather than one per token.
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    batch, size = [], 0
+    for chunk in itertools.chain(encoder.iterencode(payload), ("\n",)):
+        if size + len(chunk) > _WRITE_BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+        batch.append(chunk)
+        size += len(chunk)
+    sys.stdout.write("".join(batch))
 
 
 def _diagram_sort_key(d):
@@ -167,7 +177,7 @@ def _cmd_pop(args) -> int:
     else:
         payload = {"a": res.a, "r": res.r, "result": res.result.to_json()}
         if res.footprints is not None:
-            payload["footprints"] = [list(p) for p in res.footprints]
+            payload["footprints"] = res.footprints
         _emit(payload)
     return 0
 
@@ -203,16 +213,9 @@ def _cmd_monk(args) -> int:
             {
                 "result": out.to_json(),
                 "l": tr.result_l,
-                "steps": [
-                    [kind, [list(c) for c in coords]]
-                    for kind, coords in tr.steps
-                ],
-                "footprints": [list(p) for p in tr.footprints],
-                "complete_footprints": (
-                    [list(p) for p in tr.complete_footprints]
-                    if tr.complete_footprints is not None
-                    else None
-                ),
+                "steps": tr.steps,
+                "footprints": tr.footprints,
+                "complete_footprints": tr.complete_footprints,
             }
         )
     return 0
@@ -319,16 +322,7 @@ def main(argv=None) -> int:
         for option in ("a", "r", "alpha", "s", "beta"):
             _check_bound("--" + option, getattr(args, option, None))
         return args.func(args)
-    except (
-        ValueError,
-        KeyError,
-        TypeError,
-        OSError,
-        json.JSONDecodeError,
-        InvalidDiagramError,
-        InvalidSequenceError,
-        MoveError,
-    ) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,10 +19,12 @@ from .pipedream import PipeDream, trace_pipes
 class MonkTrace:
     """Step-by-step record of one insertion move.
 
-    steps is a list of (kind, coordinates) pairs; footprints collects the
-    positions the move touched, in order.  complete_footprints (ordinary
-    pipe dreams only) additionally lists every column swept between a
-    removal and the following re-insertion; these are provably all distinct.
+    steps is a tuple of (kind, coordinates) pairs.  footprints holds one
+    position per step: the first coordinate of a min_droop (the turn it
+    droops), the last coordinate of any other step.  complete_footprints
+    (ordinary pipe dreams only) additionally lists every column swept
+    between a removal and the following re-insertion; these are provably
+    all distinct.
     result_l is the l with output permutation equal to base t_{a,l}.
     """
 
@@ -57,7 +59,7 @@ def _cover_step(base: Permutation, position: int, out: Permutation) -> int:
 
 # ---------------------------------------------------------------------------
 # The frame of a move.  cascade(diagram, pi, *args) does the model's part and
-# returns (out, steps, footprints, complete_footprints).
+# returns (out, steps, complete_footprints).
 
 
 def _x_move(diagram, alpha: int, cascade):
@@ -79,9 +81,10 @@ def _m_move(diagram, s: int, beta: int, cascade):
     return _finish(pi, beta, *cascade(diagram, pi, s, beta))
 
 
-def _finish(base, position, out, steps, footprints, complete):
+def _finish(base, position, out, steps, complete):
     l = _cover_step(base, position, out.perm())
-    return out, MonkTrace(tuple(steps), tuple(footprints), complete, l)
+    footprints = tuple(c[0] if k == "min_droop" else c[-1] for k, c in steps)
+    return out, MonkTrace(tuple(steps), footprints, complete, l)
 
 
 def _unique_crossing(pair, positions) -> tuple[int, int]:
@@ -128,30 +131,25 @@ def bpd_min_droop(
     return BumplessPipeDream._of(_droop_rows(diagram.rows, pos, far)), far
 
 
-def _set_tiles(diagram: BumplessPipeDream, *changes) -> BumplessPipeDream:
-    """The diagram with each (position, letter) of changes written in.
+def _set_tile(diagram: BumplessPipeDream, pos, letter: str) -> BumplessPipeDream:
+    """The diagram with letter written at pos.
 
     No edge is checked: callers only swap a '+' and a 'b' they have just
     read, and those two tiles touch the same four edges.
     """
+    i, j = pos
     rows = list(diagram.rows)
-    for (i, j), letter in changes:
-        rows[i - 1] = rows[i - 1][: j - 1] + letter + rows[i - 1][j:]
+    rows[i - 1] = rows[i - 1][: j - 1] + letter + rows[i - 1][j:]
     return BumplessPipeDream._of(tuple(rows))
 
 
 def _bpd_cascade(
-    cur: BumplessPipeDream,
-    pos: tuple[int, int],
-    tracked: int,
-    steps: list,
-    footprints: list,
+    cur: BumplessPipeDream, pos: tuple[int, int], tracked: int, steps: list
 ):
     """Min-droop from pos, chase the tracked pipe, resolve bumps."""
     for _ in range(8 * cur.n * cur.n + 8):
         cur, corner = bpd_min_droop(cur, pos)
         steps.append(("min_droop", (pos, corner)))
-        footprints.append(pos)
         t = cur.tile(*corner)
         if t == "j":
             # The tracked pipe, leaving the rows from the corner down through
@@ -169,7 +167,7 @@ def _bpd_cascade(
         elif t == "b":
             # With a '+' at the corner, the pair crossing there is the
             # tracked pipe and its partner.
-            cur = _set_tiles(cur, (corner, "+"))
+            cur = _set_tile(cur, corner, "+")
             crossings = _sweep(cur.rows)[1].items()
             pair, positions = next(x for x in crossings if corner in x[1])
             if tracked not in pair:
@@ -177,12 +175,10 @@ def _bpd_cascade(
             others = [p for p in positions if p != corner]
             if not others:
                 steps.append(("bump_to_cross", (corner,)))
-                footprints.append(corner)
-                return cur.trim(), steps, footprints, None
+                return cur.trim(), steps, None
             cross = _unique_crossing(pair, others)
-            cur = _set_tiles(cur, (cross, "b"))
+            cur = _set_tile(cur, cross, "b")
             steps.append(("cross_bump_swap", (corner, cross)))
-            footprints.append(cross)
             pos = cross
         else:  # pragma: no cover
             raise InvariantError(f"unexpected corner tile {t!r}")
@@ -194,14 +190,14 @@ def _bpd_x(diagram: BumplessPipeDream, pi: Permutation, alpha: int):
     j = cur.rows[alpha - 1].rfind("r") + 1
     if not j:
         raise InvariantError(f"row {alpha} has no southeast turn")
-    return _bpd_cascade(cur, (alpha, j), pi(alpha), [], [])
+    return _bpd_cascade(cur, (alpha, j), pi(alpha), [])
 
 
 def _bpd_m(diagram: BumplessPipeDream, pi: Permutation, s: int, beta: int):
     pair = (pi(s), pi(beta))
     pos = _unique_crossing(pair, _sweep(diagram.rows)[1].get(frozenset(pair), ()))
-    cur = _set_tiles(diagram, (pos, "b"))
-    return _bpd_cascade(cur, pos, pi(beta), [("cross_to_bump", (pos,))], [pos])
+    cur = _set_tile(diagram, pos, "b")
+    return _bpd_cascade(cur, pos, pi(beta), [("cross_to_bump", (pos,))])
 
 
 def bpd_x_insert(
@@ -237,7 +233,6 @@ def _pd_shift(
     base: Permutation,
     pos: tuple[int, int],
     steps: list,
-    footprints: list,
     complete: list,
 ) -> tuple[int, int]:
     """Move the cross at pos to the first elbow to its right in its row.
@@ -256,7 +251,6 @@ def _pd_shift(
         jp += 1
     crosses.add((i, jp))
     steps.extend((("remove", (pos,)), ("add", ((i, jp),))))
-    footprints.extend((pos, (i, jp)))
     complete.extend((i, jj) for jj in range(j, jp + 1))
     return i, jp
 
@@ -266,7 +260,6 @@ def _pd_cascade(
     base: Permutation,
     last_added: tuple[int, int],
     steps: list,
-    footprints: list,
     complete: list,
 ):
     """Resolve double crossings until the cross set is reduced again.
@@ -283,11 +276,11 @@ def _pd_cascade(
         tr = trace_pipes(crosses)
         positions = tr.pair_crossings[tr.cross_pipes[last_added]]
         if len(positions) == 1:
-            return PipeDream(crosses), steps, footprints, tuple(complete)
+            return PipeDream(crosses), steps, tuple(complete)
         if len(positions) != 2:
             raise InvariantError(f"pair crosses thrice: {positions}")
         older = next(p for p in positions if p != last_added)
-        last_added = _pd_shift(crosses, base, older, steps, footprints, complete)
+        last_added = _pd_shift(crosses, base, older, steps, complete)
     raise InvariantError("cascade did not terminate")
 
 
@@ -297,9 +290,7 @@ def _pd_x(diagram: PipeDream, pi: Permutation, alpha: int):
     while (alpha, j) in crosses:
         j += 1
     crosses.add((alpha, j))
-    return _pd_cascade(
-        crosses, pi, (alpha, j), [("add", ((alpha, j),))], [(alpha, j)], [(alpha, j)]
-    )
+    return _pd_cascade(crosses, pi, (alpha, j), [("add", ((alpha, j),))], [(alpha, j)])
 
 
 def _pd_m(diagram: PipeDream, pi: Permutation, s: int, beta: int):
@@ -307,9 +298,9 @@ def _pd_m(diagram: PipeDream, pi: Permutation, s: int, beta: int):
     crossings = trace_pipes(diagram.crosses).pair_crossings
     pos = _unique_crossing(pair, crossings.get(pair, ()))
     crosses = set(diagram.crosses)
-    steps, footprints, complete = [], [], []
-    last = _pd_shift(crosses, pi, pos, steps, footprints, complete)
-    return _pd_cascade(crosses, pi, last, steps, footprints, complete)
+    steps, complete = [], []
+    last = _pd_shift(crosses, pi, pos, steps, complete)
+    return _pd_cascade(crosses, pi, last, steps, complete)
 
 
 def pd_x_insert(diagram: PipeDream, alpha: int) -> tuple[PipeDream, MonkTrace]:

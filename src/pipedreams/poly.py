@@ -136,8 +136,13 @@ class SparsePolynomial:
     def from_json(cls, data: dict) -> "SparsePolynomial":
         out: dict[tuple[int, ...], int] = {}
         for term in data["terms"]:
-            exp = tuple(term["exponents"])
-            out[exp] = out.get(exp, 0) + int(term["coefficient"])
+            exp, coef = tuple(term["exponents"]), term["coefficient"]
+            # type() rather than isinstance: a bool is an int too.
+            if not all(type(e) is int and e >= 0 for e in exp):
+                raise ValueError(f"exponents must be non-negative integers: {term!r}")
+            if type(coef) is not int:
+                raise ValueError(f"a coefficient must be an integer: {term!r}")
+            out[exp] = out.get(exp, 0) + coef
         return cls(out)
 
 

@@ -444,7 +444,8 @@ def run_checks(n: int, which: str = "all", seed=None) -> dict:
     """Run the named check group over the symmetric group of size n.
 
     The check called name in CHECK_GROUPS is _name(n, seed, atlas).
-    Returns {check_name: (ok, detail)}.
+    Returns {check_name: (ok, detail)}.  A check that raises fails with the
+    detail "raised <exception type>: <message>", and the others still run.
     """
     if which == "all":
         names = [name for group in CHECK_GROUPS.values() for name in group]
@@ -453,4 +454,10 @@ def run_checks(n: int, which: str = "all", seed=None) -> dict:
     else:
         raise ValueError(f"unknown check group {which!r}")
     atlas = Atlas()
-    return {name: globals()["_" + name](n, seed, atlas) for name in names}
+    results = {}
+    for name in names:
+        try:
+            results[name] = globals()["_" + name](n, seed, atlas)
+        except Exception as exc:
+            results[name] = (False, f"raised {type(exc).__name__}: {exc}")
+    return results

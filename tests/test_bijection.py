@@ -10,11 +10,14 @@ from pipedreams import (
     CompatibleSequence,
     Permutation,
     PipeDream,
+    bpd_insert,
+    bpd_pop,
     enumerate_bpds,
     enumerate_pipe_dreams,
     phi,
     phi_inverse,
     symmetric_group,
+    verify_partition,
 )
 
 
@@ -97,3 +100,17 @@ def test_phi_is_a_weight_preserving_bijection_past_s5(pi):
         images[d] = b
     assert len(images) == len(bpds)
     assert set(images) == set(enumerate_pipe_dreams(pi))
+
+
+@pytest.mark.parametrize("pi", _s7_s8_sample(19, 24, 40), ids=str)
+def test_insert_undoes_pop_past_s5(pi):
+    for b in enumerate_bpds(pi):
+        p = bpd_pop(b)
+        assert bpd_insert(p.result, p.a, p.r) == b
+
+
+@pytest.mark.parametrize("pi", _s7_s8_sample(19, 24, 40), ids=str)
+def test_move_images_partition_the_upper_covers_past_s5(pi):
+    for alpha in random.Random(str(pi)).sample(range(1, pi.size + 1), 3):
+        for model in ("pd", "bpd"):
+            assert verify_partition(pi, alpha, model), (alpha, model)

@@ -408,12 +408,14 @@ def test_bpd_grid_size_is_bounded(tmp_path, capsys, argv, n):
 
 
 class _LargestWrite:
-    """A stdout stand-in that keeps only the total and the largest write."""
+    """A stdout stand-in that keeps only the count, the total and the
+    largest write."""
 
     def __init__(self):
-        self.total = self.largest = 0
+        self.writes = self.total = self.largest = 0
 
     def write(self, text):
+        self.writes += 1
         self.total += len(text)
         self.largest = max(self.largest, len(text))
         return len(text)
@@ -428,3 +430,11 @@ def test_enum_writes_its_json_in_chunks():
         assert main(["enum", "21786534", "--model", "bpd"]) == 0
     assert out.total > 64 * 1024
     assert out.largest <= 64 * 1024
+
+
+def test_enum_batches_its_json_writes():
+    # Under an unbuffered stdout each write is one system call.
+    out = _LargestWrite()
+    with mock.patch("sys.stdout", out):
+        assert main(["enum", "21786534", "--model", "bpd"]) == 0
+    assert out.writes < 100

@@ -177,10 +177,10 @@ def test_a_j_corner_sweeps_the_rows_from_the_corner_down(monkeypatch):
 def test_a_b_corner_refuses_a_pipe_that_does_not_cross_there():
     # x_1 on the identity of S3 droops pipe 1 onto pipe 2's turn at (2, 2).
     d = BumplessPipeDream.identity(3)
-    out, _, _, _ = monk._bpd_cascade(d, (1, 1), 1, [], [])
+    out, _, _ = monk._bpd_cascade(d, (1, 1), 1, [])
     assert out.rows == (".r", "r+")
     with pytest.raises(InvariantError, match="does not reach"):
-        monk._bpd_cascade(d, (1, 1), 3, [], [])
+        monk._bpd_cascade(d, (1, 1), 3, [])
 
 
 @seed(11)

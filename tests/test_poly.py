@@ -67,6 +67,16 @@ def test_json_roundtrip():
     assert SparsePolynomial.from_json(data) == p
 
 
+@pytest.mark.parametrize(
+    "exponents, coefficient",
+    [([1], 2.7), ([1], "3"), ([1.5], 3), ([True], 3), ([-1], 3), ([1], False)],
+)
+def test_json_refuses_values_that_are_not_integers(exponents, coefficient):
+    data = {"terms": [{"exponents": exponents, "coefficient": coefficient}]}
+    with pytest.raises(ValueError):
+        SparsePolynomial.from_json(data)
+
+
 def test_swap_vars():
     p = x(1) * x(1) * x(2)
     assert p.swap_vars(1) == x(1) * x(2) * x(2)

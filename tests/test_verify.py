@@ -7,12 +7,17 @@ of the check groups that run it.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 import pipedreams
 from pipedreams import verify
+from pipedreams.bijection import PhiResult
+from pipedreams.cli import main
+from pipedreams.errors import InvariantError, MoveError
+from pipedreams.pipedream import CompatibleSequence
 
 PASSING_DIAGRAMS = {
     "bijection": (True, "bijective on 7 diagrams"),
@@ -70,6 +75,58 @@ def test_failing_move_is_named_in_the_result(monkeypatch, move, fault):
 def test_unbroken_moves_pass():
     assert verify.run_checks(3, "diagrams") == PASSING_DIAGRAMS
     assert verify.run_checks(3, "footprints") == PASSING_FOOTPRINTS
+
+
+def _reversed_r(real):
+    def broken(b):
+        res = real(b)
+        seq = CompatibleSequence(res.sequence.a, res.sequence.r[::-1])
+        return PhiResult(seq, res.pops)
+
+    return broken
+
+
+def _raising(error):
+    def broken(d, alpha):
+        raise error("no move here")
+
+    return broken
+
+
+# (name, fault, error) -> the changed diagrams checks.  compatible names the
+# permutation itself, since it validates each sequence it reads.
+NOT_INCREASING = "r is not weakly increasing"
+RAISES = {
+    ("phi", _reversed_r, "InvalidSequenceError"): {
+        "bijection": (False, f"raised InvalidSequenceError: {NOT_INCREASING}"),
+        "compatible": (False, f"invalid sequence at 2,3,1: {NOT_INCREASING}"),
+        "commutation": (False, f"raised InvalidSequenceError: {NOT_INCREASING}"),
+    },
+    ("bpd_x_insert", lambda real: _raising(MoveError), "MoveError"): {
+        "commutation": (False, "raised MoveError: no move here"),
+        "partition": (False, "raised MoveError: no move here"),
+    },
+    ("bpd_x_insert", lambda real: _raising(InvariantError), "InvariantError"): {
+        "commutation": (False, "raised InvariantError: no move here"),
+        "partition": (False, "raised InvariantError: no move here"),
+    },
+}
+
+
+@pytest.mark.parametrize("key", list(RAISES), ids=lambda key: f"{key[0]}-{key[2]}")
+def test_a_check_that_raises_fails_and_the_others_still_run(
+    monkeypatch, capsys, key
+):
+    name, fault, _ = key
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    expected = {
+        check: RAISES[key].get(check, result)
+        for check, result in PASSING_DIAGRAMS.items()
+    }
+    assert verify.run_checks(3, "diagrams") == expected
+    assert main(["verify", "--group", "3", "--check", "diagrams"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert {check: (r["passed"], r["detail"]) for check, r in results.items()} == expected
 
 
 COUNTED = ("enumerate_bpds", "enumerate_pipe_dreams", "schubert_polynomial", "phi")
