@@ -10,6 +10,7 @@ the pairs to bpd_insert in reverse order, starting from the identity grid.
 from __future__ import annotations
 
 from .bumpless import BumplessPipeDream, bpd_insert, bpd_pop
+from .errors import InvariantError
 from .perm import Permutation
 from .pipedream import CompatibleSequence, PipeDream
 
@@ -60,14 +61,8 @@ def phi_inverse(diagram: PipeDream) -> BumplessPipeDream:
     for a, r in reversed(list(zip(seq.a, seq.r))):
         nxt = bpd_insert(cur, a, r)
         if nxt is None:
-            raise RuntimeError(
+            raise InvariantError(
                 f"insertion of ({a}, {r}) failed; no preimage exists"
             )
         cur = nxt
     return cur
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

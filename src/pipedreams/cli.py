@@ -56,19 +56,16 @@ def _parse_perm(text: str, bound: int) -> Permutation:
     return pi
 
 
-def _read_json(path: str) -> dict:
+def _read_diagram(path: str):
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except RecursionError as exc:
         raise ValueError("the JSON input is nested too deeply") from exc
-
-
-def _parse_diagram(data):
     if not isinstance(data, dict):
         raise ValueError(
             f"a diagram must be a JSON object, not {type(data).__name__}"
@@ -98,10 +95,6 @@ def _emit(payload) -> None:
     sys.stdout.write("".join(batch))
 
 
-def _diagram_sort_key(d):
-    return json.dumps(d.to_json(), sort_keys=True)
-
-
 def _cmd_schubert(args) -> int:
     pi = _parse_perm(args.perm, _MAX_SCHUBERT_SIZE)
     poly = schubert_polynomial(pi)
@@ -121,7 +114,10 @@ def _cmd_schubert(args) -> int:
 
 def _cmd_enum(args) -> int:
     pi = _parse_perm(args.perm, _MAX_ENUM_SIZE)
-    diagrams = sorted(MODELS[args.model].enumerate(pi), key=_diagram_sort_key)
+    diagrams = sorted(
+        MODELS[args.model].enumerate(pi),
+        key=lambda d: json.dumps(d.to_json(), sort_keys=True),
+    )
     if args.pretty:
         print("\n\n".join(render(d, pretty=True) for d in diagrams))
     else:
@@ -137,8 +133,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    data = _read_json(args.file)
-    diagram = _parse_diagram(data)
+    diagram = args.diagram
     if args.inverse:
         if not isinstance(diagram, PipeDream):
             raise ValueError("the inverse map expects a pipe dream")
@@ -167,7 +162,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_pop(args) -> int:
-    diagram = _parse_diagram(_read_json(args.file))
+    diagram = args.diagram
     # Only a reduced diagram pops; a bpd pop validates its input anyway.
     diagram.perm()
     res = model_of(diagram).pop(diagram)
@@ -183,7 +178,7 @@ def _cmd_pop(args) -> int:
 
 
 def _cmd_insert(args) -> int:
-    diagram = _parse_diagram(_read_json(args.file))
+    diagram = args.diagram
     if not isinstance(diagram, BumplessPipeDream):
         raise ValueError("insertion applies to bumpless diagrams")
     out = bpd_insert(diagram, args.a, args.r)
@@ -195,7 +190,7 @@ def _cmd_insert(args) -> int:
 
 
 def _cmd_monk(args) -> int:
-    diagram = _parse_diagram(_read_json(args.file))
+    diagram = args.diagram
     model = model_of(diagram)
     if args.variant == "x":
         if args.alpha is None:
@@ -244,8 +239,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    diagram = _parse_diagram(_read_json(args.file))
-    print(render(diagram, pretty=args.pretty))
+    print(render(args.diagram, pretty=args.pretty))
     return 0
 
 
@@ -321,6 +315,8 @@ def main(argv=None) -> int:
     try:
         for option in ("a", "r", "alpha", "s", "beta"):
             _check_bound("--" + option, getattr(args, option, None))
+        if hasattr(args, "file"):
+            args.diagram = _read_diagram(args.file)
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

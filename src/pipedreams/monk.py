@@ -330,9 +330,3 @@ def footprints_audit(trace: MonkTrace) -> bool:
     return len(trace.complete_footprints) == len(
         set(trace.complete_footprints)
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -252,9 +252,3 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
     """All permutations with support inside {1, ..., n}."""
     for w in itertools.permutations(range(1, n + 1)):
         yield Permutation(w)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -264,9 +264,3 @@ def enumerate_pipe_dreams(pi: Permutation) -> frozenset[PipeDream]:
     1
     """
     return frozenset(iter_pipe_dreams(pi))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

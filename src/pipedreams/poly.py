@@ -205,9 +205,3 @@ def schubert_polynomial(pi: Permutation, ambient: int | None = None) -> SparsePo
     for i in reversed(one_reduced_word(pi.inverse() * Permutation.longest(n))):
         f = divided_difference(f, i)
     return f
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

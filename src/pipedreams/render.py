@@ -63,9 +63,3 @@ def render(diagram, pretty: bool = False) -> str:
     if isinstance(diagram, BumplessPipeDream):
         return render_bpd(diagram, pretty)
     raise TypeError(f"cannot render {diagram!r}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

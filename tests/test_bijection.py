@@ -2,18 +2,25 @@
 ordinary pipe dreams."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from pipedreams import (
     BumplessPipeDream,
     CompatibleSequence,
+    InvariantError,
     Permutation,
     PipeDream,
     bpd_insert,
     bpd_pop,
+    bruhat_covers,
     enumerate_bpds,
     enumerate_pipe_dreams,
+    footprints_audit,
+    lemma_case_audit,
+    pd_m_move,
+    pd_x_insert,
     phi,
     phi_inverse,
     symmetric_group,
@@ -42,6 +49,12 @@ def test_phi_of_rothe_321():
 
 def test_phi_inverse_fixture():
     assert phi_inverse(PipeDream([(1, 1)])).rows == (".r", "r+")
+
+
+def test_phi_inverse_names_a_failed_insertion_an_invariant(monkeypatch):
+    monkeypatch.setattr("pipedreams.bijection.bpd_insert", lambda d, a, r: None)
+    with pytest.raises(InvariantError, match=r"insertion of \(1, 1\) failed"):
+        phi_inverse(PipeDream([(1, 1)]))
 
 
 @pytest.mark.parametrize("pi", list(symmetric_group(4)))
@@ -114,3 +127,26 @@ def test_move_images_partition_the_upper_covers_past_s5(pi):
     for alpha in random.Random(str(pi)).sample(range(1, pi.size + 1), 3):
         for model in ("pd", "bpd"):
             assert verify_partition(pi, alpha, model), (alpha, model)
+
+
+def test_monk_lemmas_past_s5():
+    """The four cases of the pop lemma and the footprint lemma on two x and
+    two m moves of each sampled permutation, every diagram of both models."""
+    cases = {"pd": Counter(), "bpd": Counter()}
+    for pi in _s7_s8_sample(19, 24, 40):
+        rng = random.Random(str(pi))
+        moves = [(pi, ("x", alpha)) for alpha in rng.sample(range(1, pi.size + 1), 2)]
+        moves += [
+            (pi.right_t(s, beta), ("m", s, beta))
+            for s, beta in rng.sample(bruhat_covers(pi, pi.size + 1), 2)
+        ]
+        for base, move in moves:
+            for d in [*enumerate_bpds(base), *enumerate_pipe_dreams(base)]:
+                report = lemma_case_audit(d, move)
+                assert report.passed(), (pi, report)
+                cases[report.model][report.case] += 1
+                if report.model == "pd":
+                    apply = pd_x_insert if move[0] == "x" else pd_m_move
+                    assert footprints_audit(apply(d, *move[1:])[1]), (pi, d, move)
+    for model, seen in cases.items():
+        assert set(seen) == {"x-low", "x-generic", "m-generic", "m-special"}, model

@@ -117,6 +117,12 @@ def test_phi_direction_mismatch(tmp_path, capsys):
     assert run(capsys, "phi", pd)[0] == 2
 
 
+def test_phi_inverse_refuses_a_bumpless_diagram(tmp_path, capsys):
+    bpd = write_json(tmp_path, "b.json", BumplessPipeDream.identity(2).to_json())
+    code, out, err = run(capsys, "phi", bpd, "--inverse")
+    assert (code, out, err) == (2, "", "error: the inverse map expects a pipe dream\n")
+
+
 def test_pop_bpd(tmp_path, capsys):
     rothe = BumplessPipeDream.rothe(Permutation((2, 1)))
     path = write_json(tmp_path, "b.json", rothe.to_json())
@@ -181,6 +187,12 @@ def test_monk_x_requires_alpha(tmp_path, capsys):
     assert run(capsys, "monk", "x", path)[0] == 2
 
 
+def test_monk_m_requires_s_and_beta(tmp_path, capsys):
+    path = write_json(tmp_path, "d.json", PipeDream([]).to_json())
+    code, out, err = run(capsys, "monk", "m", path, "--s", "1")
+    assert (code, out, err) == (2, "", "error: the m move needs --s and --beta\n")
+
+
 def test_verify_small_group(capsys):
     code, out, _ = run(capsys, "verify", "--group", "2", "--seed", "11")
     assert code == 0
@@ -202,6 +214,39 @@ def test_verify_honors_group_cap(capsys, monkeypatch):
 def test_verify_rejects_bad_cap(capsys, monkeypatch):
     monkeypatch.setenv("SCHUBERT_MAX_N", "many")
     assert run(capsys, "verify", "--group", "2")[0] == 2
+
+
+def test_verify_rejects_an_empty_group(capsys):
+    code, out, err = run(capsys, "verify", "--group", "0")
+    assert (code, out, err) == (2, "", "error: group size must be positive\n")
+
+
+USAGES = {
+    "schubert": "usage: pipedreams schubert [-h] [--pretty] perm\n",
+    "enum": "usage: pipedreams enum [-h] --model {pd,bpd} [--pretty] perm\n",
+    "phi": "usage: pipedreams phi [-h] [--inverse] [--pretty] [file]\n",
+    "pop": "usage: pipedreams pop [-h] [--pretty] [file]\n",
+    "insert": "usage: pipedreams insert [-h] --a A --r R [--pretty] [file]\n",
+    "monk": (
+        "usage: pipedreams monk [-h] [--alpha ALPHA] [--s S] [--beta BETA] [--pretty]\n"
+        "                       {x,m} [file]\n"
+    ),
+    "verify": (
+        "usage: pipedreams verify [-h] --group GROUP\n"
+        "                         [--check {diagrams,footprints,lemmas,poly,all}]\n"
+        "                         [--seed SEED]\n"
+    ),
+    "render": "usage: pipedreams render [-h] [--pretty] [file]\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(USAGES))
+def test_help_usage_block(capsys, monkeypatch, command):
+    # argparse wraps its usage to the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.split("\n\n")[0] + "\n" == USAGES[command]
 
 
 def test_render_plain_and_pretty(tmp_path, capsys):
