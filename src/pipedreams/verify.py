@@ -1,7 +1,7 @@
 """Exhaustive consistency checks over a full symmetric group.
 
-Each check returns (ok, detail); run_checks bundles them into the named
-check groups used by the command line tool.  Everything here is exact and
+run_checks runs the named check groups used by the command line tool and
+gives each check's (ok, detail).  Everything here is exact and
 deterministic except the ring axiom spot checks, which draw random small
 polynomials from a seeded generator.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import cache
 from typing import Callable, NamedTuple
 
 from .bijection import phi, phi_inverse
@@ -30,7 +29,7 @@ from .monk import (
     pd_x_insert,
 )
 from .perm import Permutation, is_bruhat_cover, monk_covers, symmetric_group
-from .pipedream import PipeDream, enumerate_pipe_dreams
+from .pipedream import CompatibleSequence, PipeDream, enumerate_pipe_dreams
 from .poly import SparsePolynomial, schubert_polynomial
 
 
@@ -89,21 +88,108 @@ def model_of(diagram) -> Model:
     raise TypeError(f"not a diagram: {diagram!r}")
 
 
+def _key(diagram):
+    """A diagram's exact content: a bumpless grid's rows, or a pipe dream's
+    crosses."""
+    return diagram.rows if isinstance(diagram, BumplessPipeDream) else diagram.crosses
+
+
+def _reach(key) -> tuple[int, int]:
+    """The Coxeter length of a permutation, or of the diagram of a key, and
+    the least n with it in S_n.  A pipe dream has one cross per inversion,
+    the cross (r, c) being the letter r + c - 1; a bumpless grid one blank
+    per inversion, and the library builds it trimmed, on n x n tiles."""
+    if isinstance(key, Permutation):
+        return key.length(), key.size
+    if isinstance(key, frozenset):
+        return len(key), max((r + c for r, c in key), default=1)
+    return "".join(key).count("."), len(key)
+
+
 class Atlas:
-    """One call's memos: diagrams(model, pi), schubert(pi, ambient) and
-    image(b), phi of an enumerated grid keyed by its rows.  The phi of a
-    move's output in commutes is not kept.  They call this module's names,
+    """One call's memos, each filled on first use: diagrams(model, pi),
+    schubert(pi, ambient), and the library's pop(d), move(d, move) and
+    image(b) (phi) of one diagram, keyed by its exact rows or crosses.
+    Each keeps only what the checks read: a pop's letter, row and result,
+    a move's output and, for a pipe dream, whether its complete footprints
+    are distinct, and phi's compatible sequence.  The atlas holds one
+    object per diagram it returns.  forget(l, n) drops what no check at a
+    longer permutation of S_n reads.  The memos call this module's names,
     which profilers and tests may rebind."""
 
     def __init__(self):
-        self.diagrams = cache(lambda model, pi: MODELS[model].enumerate(pi))
-        self.schubert = cache(lambda pi, ambient=None: schubert_polynomial(pi, ambient))
-        self.images = {}
+        self._diagrams = {}  # (model, pi) -> frozenset of diagrams
+        self._schubert = {}  # (pi, ambient) -> polynomial
+        self._images = {}  # rows -> CompatibleSequence
+        self._pops = {}  # key -> (a, r, result)
+        self._moves = {}  # (key, move) -> (output, footprints distinct)
+        self._held = {}  # key -> the diagram held for it
 
-    def image(self, b: BumplessPipeDream):
-        if b.rows not in self.images:
-            self.images[b.rows] = phi(b)
-        return self.images[b.rows]
+    def _hold(self, diagram):
+        return self._held.setdefault(_key(diagram), diagram)
+
+    def diagrams(self, model: str, pi: Permutation) -> frozenset:
+        found = self._diagrams.get((model, pi))
+        if found is None:
+            found = frozenset(map(self._hold, MODELS[model].enumerate(pi)))
+            self._diagrams[model, pi] = found
+        return found
+
+    def schubert(self, pi: Permutation, ambient=None) -> SparsePolynomial:
+        poly = self._schubert.get((pi, ambient))
+        if poly is None:
+            poly = self._schubert[pi, ambient] = schubert_polynomial(pi, ambient)
+        return poly
+
+    def image(self, b: BumplessPipeDream) -> CompatibleSequence:
+        """The compatible sequence of phi(b)."""
+        seq = self._images.get(b.rows)
+        if seq is None:
+            seq = self._images[b.rows] = phi(b).sequence
+        return seq
+
+    def pop(self, diagram) -> tuple:
+        """(a, r, result) of the model's pop of diagram."""
+        key = _key(diagram)
+        entry = self._pops.get(key)
+        if entry is None:
+            res = model_of(diagram).pop(diagram)
+            entry = self._pops[key] = (res.a, res.r, self._hold(res.result))
+        return entry
+
+    def move(self, diagram, move) -> tuple:
+        """The output of the model's move on diagram, and whether its
+        complete footprints are distinct (None on a bumpless grid)."""
+        key = (_key(diagram), move)
+        entry = self._moves.get(key)
+        if entry is None:
+            ops = model_of(diagram)
+            out, trace = ops.apply(diagram, move)
+            distinct = footprints_audit(trace) if ops.name == "pd" else None
+            entry = self._moves[key] = (self._hold(out), distinct)
+        return entry
+
+    def forget(self, level: int, n: int) -> None:
+        """Keep only what a check at a longer permutation of S_n reads: the
+        entries of permutations of S_n longer than level, the m moves of
+        every diagram longer than level, and the x moves and held diagrams
+        of S_n of length level.  A lemma audit pops the diagrams it moves,
+        then moves what it popped."""
+
+        def kept(key, least=level + 1, bound=n):
+            length, size = _reach(key)
+            return length >= least and size <= bound
+
+        self._diagrams = {k: v for k, v in self._diagrams.items() if kept(k[1])}
+        self._schubert = {k: v for k, v in self._schubert.items() if kept(k[0])}
+        self._images = {k: v for k, v in self._images.items() if kept(k)}
+        self._pops = {k: v for k, v in self._pops.items() if kept(k)}
+        self._moves = {
+            k: v
+            for k, v in self._moves.items()
+            if (kept(k[0], level) if k[1][0] == "x" else kept(k[0], bound=n + 1))
+        }
+        self._held = {k: v for k, v in self._held.items() if kept(k, level)}
 
     def monk_identity(self, pi: Permutation, alpha: int) -> bool:
         left, right = monk_covers(pi, alpha)
@@ -117,8 +203,8 @@ class Atlas:
 
     def commutes(self, base: Permutation, move) -> bool:
         for b in self.diagrams("bpd", base):
-            via_bpd = phi(MODELS["bpd"].apply(b, move)[0]).pipe_dream()
-            via_pd = MODELS["pd"].apply(self.image(b).pipe_dream(), move)[0]
+            via_bpd = self.image(self.move(b, move)[0]).to_pipe_dream()
+            via_pd = self.move(self._hold(self.image(b).to_pipe_dream()), move)[0]
             if via_bpd != via_pd:
                 return False
         return True
@@ -126,28 +212,92 @@ class Atlas:
     def partitions(self, pi: Permutation, alpha: int, model: str) -> bool:
         if model not in MODELS:
             raise ValueError(f"unknown model {model!r}")
-        ops = MODELS[model]
         left, right = monk_covers(pi, alpha)
         produced: Counter = Counter()
         for d in self.diagrams(model, pi):
-            produced[ops.x(d, alpha)[0]] += 1
+            produced[self.move(d, ("x", alpha))[0]] += 1
         for s in left:
             for d in self.diagrams(model, pi.right_t(s, alpha)):
-                produced[ops.m(d, s, alpha)[0]] += 1
+                produced[self.move(d, ("m", s, alpha))[0]] += 1
         expected: Counter = Counter()
         for l in right:
             for d in self.diagrams(model, pi.right_t(alpha, l)):
                 expected[d] += 1
         return produced == expected
 
+    def audit(self, diagram, move) -> "AuditReport":
+        """lemma_case_audit(diagram, move) through this atlas."""
+        name = model_of(diagram).name
+        if move[0] == "m":
+            _, s, beta = move
+            sigma = diagram.perm()
+            pi = sigma.right_t(s, beta)
+            if not is_bruhat_cover(pi, s, beta):
+                raise ValueError("move is not a cover of its base")
+        elif move[0] == "x":
+            _, alpha = move
+            if diagram.perm().is_identity():
+                raise ValueError("nothing to pop on an identity diagram")
+        else:
+            raise ValueError(f"unknown move {move!r}")
+        moved = self.move(diagram, move)[0]
+        i, r, nabla = self.pop(diagram)
+        i2, r2, nabla_moved = self.pop(moved)
+        checks = []
+        if move[0] == "m" and {s, beta} == {pi.inverse()(i), pi.inverse()(i + 1)}:
+            case = "m-special"
+            checks.append(_clause("pop", (i2, r2) == (i + 1, r), f"got {(i2, r2)}"))
+            checks.append(_clause("nabla", nabla_moved == self._descent_m(nabla, i + 1)))
+        elif move[0] == "x" and alpha < r:
+            case = "x-low"
+            checks.append(
+                _clause("pop", (i2, r2) == (alpha, alpha), f"got {(i2, r2)}")
+            )
+            checks.append(_clause("nabla", nabla_moved == diagram))
+        else:
+            case = move[0] + "-generic"
+            try:
+                up = self.move(nabla, move)[0]
+            except ValueError as exc:
+                if move[0] == "x":
+                    raise
+                return AuditReport(name, case, [("m-on-popped", "skip", str(exc))])
+            descends = i in up.perm().left_descents()
+            want = (i + 1, r) if descends else (i, r)
+            checks.append(_clause("pop", (i2, r2) == want, f"got {(i2, r2)}"))
+            try:
+                expected = self._descent_m(up, i + 1) if descends else up
+            except ValueError as exc:
+                if move[0] == "m":
+                    raise
+                checks.append(("nabla", "skip", str(exc)))
+                return AuditReport(name, case, checks)
+            checks.append(_clause("nabla", nabla_moved == expected))
+        return AuditReport(name, case, checks)
+
+    def _descent_m(self, d, k: int):
+        """The m move at rho^-1(k+1), rho^-1(k) on d, where rho is the
+        permutation of d, when k is a left descent of rho; else d itself."""
+        rho = d.perm()
+        if k not in rho.left_descents():
+            return d
+        inv = rho.inverse()
+        return self.move(d, ("m", inv(k + 1), inv(k)))[0]
+
+
+def _moves_at(pi: Permutation, n: int):
+    """(base, move, label) for each Monk move the checks make at pi of S_n."""
+    for alpha in range(1, n + 1):
+        yield pi, ("x", alpha), f"alpha={alpha}"
+    for s, beta in bruhat_covers(pi, n + 1):
+        yield pi.right_t(s, beta), ("m", s, beta), f"({s},{beta})"
+
 
 def _moves(n: int):
     """(pi, base, move, label) for each Monk move the checks make over S_n."""
     for pi in symmetric_group(n):
-        for alpha in range(1, n + 1):
-            yield pi, pi, ("x", alpha), f"alpha={alpha}"
-        for s, beta in bruhat_covers(pi, n + 1):
-            yield pi, pi.right_t(s, beta), ("m", s, beta), f"({s},{beta})"
+        for base, move, label in _moves_at(pi, n):
+            yield pi, base, move, label
 
 
 def verify_monk_poly(pi: Permutation, alpha: int) -> bool:
@@ -203,16 +353,6 @@ def _clause(name, ok, detail=""):
     return (name, "pass" if ok else "fail", detail)
 
 
-def _descent_m(ops: Model, d, k: int):
-    """The m move at rho^-1(k+1), rho^-1(k) on d, where rho is the
-    permutation of d, when k is a left descent of rho; else d itself."""
-    rho = d.perm()
-    if k not in rho.left_descents():
-        return d
-    inv = rho.inverse()
-    return ops.m(d, inv(k + 1), inv(k))[0]
-
-
 def lemma_case_audit(diagram, move) -> AuditReport:
     """Check how one insertion move commutes with one pop step.
 
@@ -230,86 +370,41 @@ def lemma_case_audit(diagram, move) -> AuditReport:
     A ValueError from the m move on the popped diagram skips the audit, and
     one from the follow-up m move of the x path skips its nabla clause.
     """
-    ops = model_of(diagram)
-    if move[0] == "m":
-        _, s, beta = move
-        sigma = diagram.perm()
-        pi = sigma.right_t(s, beta)
-        if not is_bruhat_cover(pi, s, beta):
-            raise ValueError("move is not a cover of its base")
-    elif move[0] == "x":
-        _, alpha = move
-        if diagram.perm().is_identity():
-            raise ValueError("nothing to pop on an identity diagram")
-    else:
-        raise ValueError(f"unknown move {move!r}")
-    moved = ops.apply(diagram, move)[0]
-    first, second = ops.pop(diagram), ops.pop(moved)
-    i, r, nabla = first.a, first.r, first.result
-    i2, r2, nabla_moved = second.a, second.r, second.result
-    checks = []
-    if move[0] == "m" and {s, beta} == {pi.inverse()(i), pi.inverse()(i + 1)}:
-        case = "m-special"
-        checks.append(_clause("pop", (i2, r2) == (i + 1, r), f"got {(i2, r2)}"))
-        checks.append(_clause("nabla", nabla_moved == _descent_m(ops, nabla, i + 1)))
-    elif move[0] == "x" and alpha < r:
-        case = "x-low"
-        checks.append(
-            _clause("pop", (i2, r2) == (alpha, alpha), f"got {(i2, r2)}")
-        )
-        checks.append(_clause("nabla", nabla_moved == diagram))
-    else:
-        case = move[0] + "-generic"
-        try:
-            up = ops.apply(nabla, move)[0]
-        except ValueError as exc:
-            if move[0] == "x":
-                raise
-            return AuditReport(ops.name, case, [("m-on-popped", "skip", str(exc))])
-        descends = i in up.perm().left_descents()
-        want = (i + 1, r) if descends else (i, r)
-        checks.append(_clause("pop", (i2, r2) == want, f"got {(i2, r2)}"))
-        try:
-            expected = _descent_m(ops, up, i + 1) if descends else up
-        except ValueError as exc:
-            if move[0] == "m":
-                raise
-            checks.append(("nabla", "skip", str(exc)))
-            return AuditReport(ops.name, case, checks)
-        checks.append(_clause("nabla", nabla_moved == expected))
-    return AuditReport(ops.name, case, checks)
+    return Atlas().audit(diagram, move)
 
 
-def _triple_agreement(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
-    for pi in symmetric_group(n):
-        s = atlas.schubert(pi)
-        for model in MODELS:
-            total = SparsePolynomial.zero()
-            for d in atlas.diagrams(model, pi):
-                total = total + d.weight()
-            if total != s:
-                return False, f"disagreement at {pi}"
-    return True, f"all {len(list(symmetric_group(n)))} permutations agree"
+# A check is _name(n, seed, atlas, pi): its cases at one permutation pi of
+# S_n.  It returns the detail of its first failing case, or the counts its
+# cases add to the pass detail, CHECKS[name][1].
 
 
-def _monk_poly(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
-    count = 0
-    for pi in symmetric_group(n):
-        for alpha in range(1, n + 2):
-            if not atlas.monk_identity(pi, alpha):
-                return False, f"failure at {pi}, alpha={alpha}"
-            count += 1
-    return True, f"{count} instances hold"
+def _triple_agreement(n: int, seed, atlas: Atlas, pi: Permutation):
+    s = atlas.schubert(pi)
+    for model in MODELS:
+        total = SparsePolynomial.zero()
+        for d in atlas.diagrams(model, pi):
+            total = total + d.weight()
+        if total != s:
+            return f"disagreement at {pi}"
+    return (1,)
 
 
-def _stability(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
-    for pi in symmetric_group(n):
-        if atlas.schubert(pi, n + 2) != atlas.schubert(pi):
-            return False, f"ambient change alters the polynomial at {pi}"
-    return True, "polynomials independent of the ambient size"
+def _monk_poly(n: int, seed, atlas: Atlas, pi: Permutation):
+    for alpha in range(1, n + 2):
+        if not atlas.monk_identity(pi, alpha):
+            return f"failure at {pi}, alpha={alpha}"
+    return (n + 1,)
 
 
-def _poly_ring(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
+def _stability(n: int, seed, atlas: Atlas, pi: Permutation):
+    if atlas.schubert(pi, n + 2) != atlas.schubert(pi):
+        return f"ambient change alters the polynomial at {pi}"
+    return ()
+
+
+def _poly_ring(n: int, seed, atlas: Atlas, pi: Permutation):
+    if not pi.is_identity():  # the samples are drawn once, at the identity
+        return ()
     rng = random.Random(seed if seed is not None else 0)
 
     def rand_poly():
@@ -322,115 +417,118 @@ def _poly_ring(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
     for _ in range(50):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
         if (a + b) * c != a * c + b * c:
-            return False, "distributivity failed"
+            return "distributivity failed"
         if a * b != b * a or a + b != b + a:
-            return False, "commutativity failed"
+            return "commutativity failed"
         if (a * b) * c != a * (b * c):
-            return False, "associativity failed"
+            return "associativity failed"
         if a - a != SparsePolynomial.zero():
-            return False, "subtraction failed"
-    return True, "ring axioms hold on random samples"
+            return "subtraction failed"
+    return ()
 
 
-def _bijection(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
-    pairs = 0
-    for pi in symmetric_group(n):
-        bpds = atlas.diagrams("bpd", pi)
-        pds = atlas.diagrams("pd", pi)
-        image = {}
-        for b in bpds:
-            d = atlas.image(b).pipe_dream()
-            if d in image:
-                return False, f"phi not injective at {pi}"
-            if d.weight() != b.weight():
-                return False, f"phi changes a weight at {pi}"
-            image[d] = b
-        if set(image) != pds:
-            return False, f"phi image misses diagrams at {pi}"
-        for d in pds:
-            if phi(phi_inverse(d)).pipe_dream() != d:
-                return False, f"phi_inverse not inverse at {pi}"
-        pairs += len(bpds)
-    return True, f"bijective on {pairs} diagrams"
+def _bijection(n: int, seed, atlas: Atlas, pi: Permutation):
+    bpds = atlas.diagrams("bpd", pi)
+    pds = atlas.diagrams("pd", pi)
+    image = {}
+    for b in bpds:
+        d = atlas.image(b).to_pipe_dream()
+        if d in image:
+            return f"phi not injective at {pi}"
+        if d.weight() != b.weight():
+            return f"phi changes a weight at {pi}"
+        image[d] = b
+    if set(image) != pds:
+        return f"phi image misses diagrams at {pi}"
+    for d in pds:
+        if phi(phi_inverse(d)).pipe_dream() != d:
+            return f"phi_inverse not inverse at {pi}"
+    return (len(bpds),)
 
 
-def _compatible(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
+def _compatible(n: int, seed, atlas: Atlas, pi: Permutation):
     count = 0
-    for pi in symmetric_group(n):
-        for b in atlas.diagrams("bpd", pi):
-            seq = atlas.image(b).sequence
-            try:
-                seq.validate()
-            except InvalidSequenceError as exc:
-                return False, f"invalid sequence at {pi}: {exc}"
-            if seq.permutation() != pi:
-                return False, f"sequence permutation mismatch at {pi}"
-            count += 1
-    return True, f"{count} sequences valid"
+    for b in atlas.diagrams("bpd", pi):
+        seq = atlas.image(b)
+        try:
+            seq.validate()
+        except InvalidSequenceError as exc:
+            return f"invalid sequence at {pi}: {exc}"
+        if seq.permutation() != pi:
+            return f"sequence permutation mismatch at {pi}"
+        count += 1
+    return (count,)
 
 
-def _roundtrip(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
+def _roundtrip(n: int, seed, atlas: Atlas, pi: Permutation):
+    if pi.is_identity():
+        return (0,)
     count = 0
-    for pi in symmetric_group(n):
-        if pi.is_identity():
-            continue
-        for b in atlas.diagrams("bpd", pi):
-            res = bpd_pop(b)
-            back = bpd_insert(res.result, res.a, res.r)
-            if back != b:
-                return False, f"insert does not undo pop at {pi}"
-            count += 1
-    return True, f"{count} pop/insert round trips"
+    for b in atlas.diagrams("bpd", pi):
+        res = bpd_pop(b)
+        back = bpd_insert(res.result, res.a, res.r)
+        if back != b:
+            return f"insert does not undo pop at {pi}"
+        count += 1
+    return (count,)
 
 
-def _commutation(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
+def _commutation(n: int, seed, atlas: Atlas, pi: Permutation):
     runs = 0
-    for pi, base, move, label in _moves(n):
+    for base, move, label in _moves_at(pi, n):
         if not atlas.commutes(base, move):
-            return False, f"{move[0]} move disagreement at {pi}, {label}"
+            return f"{move[0]} move disagreement at {pi}, {label}"
         runs += 1
-    return True, f"{runs} move families commute with phi"
+    return (runs,)
 
 
-def _partition(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
-    for pi in symmetric_group(n):
-        for alpha in range(1, n + 1):
-            for model in MODELS:
-                if not atlas.partitions(pi, alpha, model):
-                    return (
-                        False,
-                        f"partition fails at {pi}, alpha={alpha}, {model}",
-                    )
-    return True, "images partition the upper cover diagrams"
+def _partition(n: int, seed, atlas: Atlas, pi: Permutation):
+    for alpha in range(1, n + 1):
+        for model in MODELS:
+            if not atlas.partitions(pi, alpha, model):
+                return f"partition fails at {pi}, alpha={alpha}, {model}"
+    return ()
 
 
-def _lemmas(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
-    audited = 0
-    skipped = 0
-    for pi, base, move, label in _moves(n):
+def _lemmas(n: int, seed, atlas: Atlas, pi: Permutation):
+    audited = skipped = 0
+    for base, move, label in _moves_at(pi, n):
         if move[0] == "x" and pi.is_identity():
             continue
         for model in MODELS:
             for d in atlas.diagrams(model, base):
-                report = lemma_case_audit(d, move)
+                report = atlas.audit(d, move)
                 if not report.passed():
-                    return False, f"{report!r} at {pi}"
+                    return f"{report!r} at {pi}"
                 audited += 1
-                skipped += sum(
-                    1 for c in report.checks if c[1] == "skip"
-                )
-    return True, f"{audited} audits pass ({skipped} clauses skipped)"
+                skipped += sum(1 for c in report.checks if c[1] == "skip")
+    return audited, skipped
 
 
-def _footprints(n: int, seed, atlas: Atlas) -> tuple[bool, str]:
+def _footprints(n: int, seed, atlas: Atlas, pi: Permutation):
     runs = 0
-    for pi, base, move, label in _moves(n):
+    for base, move, label in _moves_at(pi, n):
         for d in atlas.diagrams("pd", base):
-            if not footprints_audit(MODELS["pd"].apply(d, move)[1]):
-                return False, f"repeated footprint at {pi}, {label}"
+            if not atlas.move(d, move)[1]:
+                return f"repeated footprint at {pi}, {label}"
             runs += 1
-    return True, f"{runs} moves leave distinct footprints"
+    return (runs,)
 
+
+# name -> (check, pass detail formatted with the counts summed over S_n)
+CHECKS = {
+    "triple_agreement": (_triple_agreement, "all {} permutations agree"),
+    "monk_poly": (_monk_poly, "{} instances hold"),
+    "stability": (_stability, "polynomials independent of the ambient size"),
+    "poly_ring": (_poly_ring, "ring axioms hold on random samples"),
+    "bijection": (_bijection, "bijective on {} diagrams"),
+    "compatible": (_compatible, "{} sequences valid"),
+    "roundtrip": (_roundtrip, "{} pop/insert round trips"),
+    "commutation": (_commutation, "{} move families commute with phi"),
+    "partition": (_partition, "images partition the upper cover diagrams"),
+    "lemmas": (_lemmas, "{} audits pass ({} clauses skipped)"),
+    "footprints": (_footprints, "{} moves leave distinct footprints"),
+}
 
 CHECK_GROUPS = {
     "poly": ("triple_agreement", "monk_poly", "stability", "poly_ring"),
@@ -443,9 +541,13 @@ CHECK_GROUPS = {
 def run_checks(n: int, which: str = "all", seed=None) -> dict:
     """Run the named check group over the symmetric group of size n.
 
-    The check called name in CHECK_GROUPS is _name(n, seed, atlas).
-    Returns {check_name: (ok, detail)}.  A check that raises fails with the
-    detail "raised <exception type>: <message>", and the others still run.
+    Returns {check_name: (ok, detail)}.  The checks of the group run
+    together, one Coxeter length at a time: every check at each
+    permutation of length 0, then of length 1, and so on, through one
+    Atlas that forgets each length once it is done.  A check fails with
+    the detail of its first failure in symmetric_group order; a check that
+    raises there fails with the detail "raised <exception type>:
+    <message>", and the other checks still run.
     """
     if which == "all":
         names = [name for group in CHECK_GROUPS.values() for name in group]
@@ -453,11 +555,30 @@ def run_checks(n: int, which: str = "all", seed=None) -> dict:
         names = list(CHECK_GROUPS[which])
     else:
         raise ValueError(f"unknown check group {which!r}")
+    levels = {}  # length -> [(position in symmetric_group, pi)]
+    for position, pi in enumerate(symmetric_group(n)):
+        levels.setdefault(pi.length(), []).append((position, pi))
     atlas = Atlas()
-    results = {}
-    for name in names:
-        try:
-            results[name] = globals()["_" + name](n, seed, atlas)
-        except Exception as exc:
-            results[name] = (False, f"raised {type(exc).__name__}: {exc}")
-    return results
+    failed = {}  # name -> (position, detail) of its first failure so far
+    counts = {name: [0] * CHECKS[name][1].count("{}") for name in names}
+    for level in sorted(levels):
+        for name in names:
+            check = CHECKS[name][0]
+            for position, pi in levels[level]:
+                if name in failed and position > failed[name][0]:
+                    break
+                try:
+                    out = check(n, seed, atlas, pi)
+                except Exception as exc:
+                    out = f"raised {type(exc).__name__}: {exc}"
+                if isinstance(out, str):
+                    failed[name] = (position, out)
+                    break
+                counts[name] = [a + b for a, b in zip(counts[name], out)]
+        atlas.forget(level, n)
+    return {
+        name: (False, failed[name][1])
+        if name in failed
+        else (True, CHECKS[name][1].format(*counts[name]))
+        for name in names
+    }

@@ -129,7 +129,17 @@ def test_a_check_that_raises_fails_and_the_others_still_run(
     assert {check: (r["passed"], r["detail"]) for check, r in results.items()} == expected
 
 
-COUNTED = ("enumerate_bpds", "enumerate_pipe_dreams", "schubert_polynomial", "phi")
+COUNTED = (
+    "enumerate_bpds",
+    "enumerate_pipe_dreams",
+    "schubert_polynomial",
+    "phi",
+    "bpd_pop",
+    "pd_x_insert",
+    "pd_m_move",
+    "bpd_x_insert",
+    "bpd_m_move",
+)
 
 
 @pytest.fixture
@@ -150,13 +160,21 @@ def calls(monkeypatch):
 def test_each_diagram_set_and_polynomial_is_computed_once_per_run(calls):
     verify.run_checks(3)
     # 17 permutations reach an enumeration and 29 (pi, ambient) pairs a
-    # Schubert polynomial; phi runs once per enumerated bumpless diagram,
-    # bumpless move output and phi_inverse output.
+    # Schubert polynomial.  phi runs once on each of the 49 distinct grids
+    # that are enumerated or a bumpless move's output, and once on each of
+    # the 7 phi_inverse outputs; bpd_pop once on each of the 48 grids the
+    # lemma audits pop, and again in the 6 round trips; each move once per
+    # distinct input.
     assert calls == {
         "enumerate_bpds": 17,
         "enumerate_pipe_dreams": 17,
         "schubert_polynomial": 29,
-        "phi": 86,
+        "phi": 56,
+        "bpd_pop": 54,
+        "pd_x_insert": 21,
+        "pd_m_move": 30,
+        "bpd_x_insert": 21,
+        "bpd_m_move": 30,
     }
 
 
@@ -165,6 +183,109 @@ def test_a_second_run_recomputes_everything(calls):
     first = dict(calls)
     verify.run_checks(3)
     assert calls == {name: 2 * count for name, count in first.items()}
+
+
+# Calls that skip the atlas: bijection maps each of the 41 phi_inverse
+# outputs by phi itself, and roundtrip pops each of the 40 grids itself.
+UNMEMOISED = {"all": {"phi": 41, "bpd_pop": 40}, "diagrams": {"phi": 41}}
+
+
+@pytest.mark.parametrize("group", ["all", *verify.CHECK_GROUPS])
+def test_the_library_runs_once_per_distinct_input_across_levels(monkeypatch, group):
+    # S4, unlike S3, lists a permutation before a shorter one (1,4,3,2
+    # before 2,1), so the atlas must keep what a later level reads again.
+    seen = {name: [] for name in COUNTED}
+    for name in COUNTED:
+        real = getattr(verify, name)
+
+        def recording(*args, name=name, real=real):
+            seen[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, recording)
+    verify.run_checks(4, group)
+    repeats = {name: len(args) - len(set(args)) for name, args in seen.items()}
+    assert {name: k for name, k in repeats.items() if k} == UNMEMOISED.get(group, {})
+
+
+def _direct(method, d, *move):
+    """What Atlas.<method>(d, *move) stands for, by a direct library call."""
+    ops = verify.model_of(d)
+    if method == "image":
+        return verify.phi(d).sequence
+    if method == "pop":
+        res = ops.pop(d)
+        return res.a, res.r, res.result
+    out, trace = ops.apply(d, *move)
+    return out, verify.footprints_audit(trace) if ops.name == "pd" else None
+
+
+def test_the_atlas_gives_what_the_library_gives(monkeypatch):
+    # Every pop, move and image the S4 checks ask the atlas for.
+    asked = {}
+    for method in ("pop", "move", "image"):
+        real = getattr(verify.Atlas, method)
+
+        def recording(self, *args, method=method, real=real):
+            asked[method, args] = out = real(self, *args)
+            return out
+
+        monkeypatch.setattr(verify.Atlas, method, recording)
+    verify.run_checks(4)
+    monkeypatch.undo()
+    assert {method for method, _ in asked} == {"pop", "move", "image"}
+    for (method, (d, *move)), out in asked.items():
+        assert out == _direct(method, d, *move)
+
+
+S4_PASSING = {
+    "bijection": (True, "bijective on 41 diagrams"),
+    "compatible": (True, "41 sequences valid"),
+    "roundtrip": (True, "40 pop/insert round trips"),
+    "commutation": (True, "204 move families commute with phi"),
+    "partition": (True, "images partition the upper cover diagrams"),
+    "footprints": (True, "421 moves leave distinct footprints"),
+}
+LATE, EARLY = "1,4,3,2", "2,1"  # listed in this order in S4, longer first
+FAILED_AT_LATE = {
+    "commutation": (False, f"x move disagreement at {LATE}, alpha=1"),
+    "partition": (False, f"partition fails at {LATE}, alpha=1, pd"),
+    "footprints": (False, f"repeated footprint at {LATE}, alpha=1"),
+}
+RAISED_AT_LATE = {
+    name: (False, f"raised MoveError: broken at {LATE}") for name in FAILED_AT_LATE
+}
+
+
+@pytest.mark.parametrize(
+    "late, early, changed",
+    [
+        ("fail", "fail", FAILED_AT_LATE),
+        ("raise", "fail", RAISED_AT_LATE),
+        ("fail", "raise", FAILED_AT_LATE),
+    ],
+    ids=["fail-fail", "raise-fail", "fail-raise"],
+)
+def test_the_first_failure_in_group_order_wins_over_a_shorter_permutation(
+    monkeypatch, late, early, changed
+):
+    # The checks run one length at a time, so they meet 2,1 first.
+    real = verify.pd_x_insert
+    faults = {LATE: late, EARLY: early}
+
+    def broken(d, alpha):
+        out, trace = real(d, alpha)
+        fault = faults.get(str(d.perm()))
+        if fault == "raise":
+            raise MoveError(f"broken at {d.perm()}")
+        if fault == "fail":
+            trace.complete_footprints = [(1, 1), (1, 1)]
+            return d, trace
+        return out, trace
+
+    monkeypatch.setattr(verify, "pd_x_insert", broken)
+    results = {**verify.run_checks(4, "diagrams"), **verify.run_checks(4, "footprints")}
+    assert results == {name: changed.get(name, r) for name, r in S4_PASSING.items()}
 
 
 def _called_name(node):
