@@ -390,10 +390,15 @@ class BumplessPipeDream:
                     f"pipes {sorted(pair)} cross twice at {positions}"
                 )
         # With no pair crossing twice, the crossing pairs are the inversions.
+        # A guard, not a rule of the input: the n pipes of a grid that trace
+        # accepts run north and east, so they make n^2 tile visits, one per
+        # single-pipe tile and two per cross (trace rejects bumps).  So
+        # blanks equal crosses, which equal crossing pairs here, and a
+        # mismatch is a fault of the library.
         pi = trace.perm
         count = sum(row.count(".") for row in rows)
         if count != len(trace.pair_crossings):
-            raise InvalidDiagramError(
+            raise InvariantError(
                 f"{count} blanks but permutation length {pi.length()}"
             )
         self._perm = (rows, pi)
@@ -467,7 +472,10 @@ class BumplessPipeDream:
         tiles = data["tiles"]
         if not isinstance(tiles, list):
             raise ValueError("the field 'tiles' must be a list of rows")
-        if len(tiles) != data.get("n", len(tiles)):
+        n = data.get("n", len(tiles))
+        if type(n) is not int:
+            raise ValueError(f"the field 'n' must be an integer, not {n!r}")
+        if len(tiles) != n:
             raise ValueError("tile grid does not match declared size")
         for row in tiles:
             if not isinstance(row, (list, str)):

@@ -113,9 +113,6 @@ class PipeDream:
     def word(self) -> tuple[int, ...]:
         return tuple(r + c - 1 for r, c in self.sorted_crosses())
 
-    def rows(self) -> tuple[int, ...]:
-        return tuple(r for r, _ in self.sorted_crosses())
-
     def perm(self) -> Permutation:
         """The permutation of the diagram; raises if a pair crosses twice."""
         pi, reduced = multiply_word(self.word())
@@ -133,7 +130,10 @@ class PipeDream:
 
     def to_compatible(self) -> CompatibleSequence:
         self.perm()
-        return CompatibleSequence(self.word(), self.rows())
+        crosses = self.sorted_crosses()
+        return CompatibleSequence(
+            tuple(r + c - 1 for r, c in crosses), tuple(r for r, _ in crosses)
+        )
 
     def pop(self) -> tuple[tuple[int, int], "PipeDream"]:
         """Remove the first cross in the grid order.

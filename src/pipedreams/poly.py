@@ -94,10 +94,6 @@ class SparsePolynomial:
             out[tuple(e)] = coef
         return SparsePolynomial(out)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms sorted by ascending lexicographic exponent vector."""
-        return sorted(self.terms.items())
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -128,7 +124,7 @@ class SparsePolynomial:
         return {
             "terms": [
                 {"exponents": list(exp), "coefficient": coef}
-                for exp, coef in self.sorted_terms()
+                for exp, coef in sorted(self.terms.items())
             ]
         }
 

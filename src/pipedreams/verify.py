@@ -228,38 +228,33 @@ class Atlas:
     def audit(self, diagram, move) -> "AuditReport":
         """lemma_case_audit(diagram, move) through this atlas."""
         name = model_of(diagram).name
-        if move[0] == "m":
-            _, s, beta = move
-            sigma = diagram.perm()
-            pi = sigma.right_t(s, beta)
-            if not is_bruhat_cover(pi, s, beta):
-                raise ValueError("move is not a cover of its base")
-        elif move[0] == "x":
-            _, alpha = move
-            if diagram.perm().is_identity():
-                raise ValueError("nothing to pop on an identity diagram")
-        else:
+        kind, *args = move
+        if kind not in ("m", "x"):
             raise ValueError(f"unknown move {move!r}")
-        moved = self.move(diagram, move)[0]
+        # The pop rejects an identity diagram, and the m move a non-cover.
         i, r, nabla = self.pop(diagram)
+        moved = self.move(diagram, move)[0]
         i2, r2, nabla_moved = self.pop(moved)
         checks = []
-        if move[0] == "m" and {s, beta} == {pi.inverse()(i), pi.inverse()(i + 1)}:
+        # An m move's base is perm(diagram) t_{s,beta}.
+        if kind == "m" and set(args) == set(
+            map(diagram.perm().right_t(*args).inverse(), (i, i + 1))
+        ):
             case = "m-special"
             checks.append(_clause("pop", (i2, r2) == (i + 1, r), f"got {(i2, r2)}"))
             checks.append(_clause("nabla", nabla_moved == self._descent_m(nabla, i + 1)))
-        elif move[0] == "x" and alpha < r:
+        elif kind == "x" and args[0] < r:
             case = "x-low"
             checks.append(
-                _clause("pop", (i2, r2) == (alpha, alpha), f"got {(i2, r2)}")
+                _clause("pop", (i2, r2) == (args[0], args[0]), f"got {(i2, r2)}")
             )
             checks.append(_clause("nabla", nabla_moved == diagram))
         else:
-            case = move[0] + "-generic"
+            case = kind + "-generic"
             try:
                 up = self.move(nabla, move)[0]
             except ValueError as exc:
-                if move[0] == "x":
+                if kind == "x":
                     raise
                 return AuditReport(name, case, [("m-on-popped", "skip", str(exc))])
             descends = i in up.perm().left_descents()
@@ -268,7 +263,7 @@ class Atlas:
             try:
                 expected = self._descent_m(up, i + 1) if descends else up
             except ValueError as exc:
-                if move[0] == "m":
+                if kind == "m":
                     raise
                 checks.append(("nabla", "skip", str(exc)))
                 return AuditReport(name, case, checks)

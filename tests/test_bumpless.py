@@ -130,8 +130,9 @@ def test_trace_matches_oracle(n):
 
 
 # One grid per rejection branch that a grid can reach.  A blank count off
-# the length is a guard: no grid that passes the border and edge checks
-# without a double crossing reaches it.
+# the crossing pairs is a guard that raises InvariantError: in a grid that
+# passes the border and edge checks without a double crossing, blanks equal
+# crosses, which equal crossing pairs.
 REJECTIONS = [
     ((".r", "rb"), "bump tile at (2, 2)"),
     (("|",), "segment exits the top at column 1"),
@@ -200,6 +201,19 @@ def test_a_sweep_rejecting_a_legal_grid_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(bumpless, "_sweep", rejecting)
     with pytest.raises(InvariantError):
         BumplessPipeDream.identity(3).trace()
+
+
+def test_a_blank_count_off_the_crossing_pairs_is_an_invariant_error(monkeypatch):
+    real = bumpless._sweep
+
+    def dropping(rows):
+        word, pairs, up = real(rows)
+        pairs.popitem()
+        return word, pairs, up
+
+    monkeypatch.setattr(bumpless, "_sweep", dropping)
+    with pytest.raises(InvariantError, match="^1 blanks but permutation length 1$"):
+        BumplessPipeDream((".r", "r+")).validate()
 
 
 def test_the_sweep_rejects_a_pipe_leaving_the_top():

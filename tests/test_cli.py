@@ -201,19 +201,16 @@ def test_verify_small_group(capsys):
     assert all(entry["passed"] for entry in data["results"].values())
 
 
-def test_verify_honors_group_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SCHUBERT_MAX_N", "3")
-    code, _, err = run(capsys, "verify", "--group", "4")
-    assert code == 2
-    assert "SCHUBERT_MAX_N" in err
+def test_verify_refuses_a_group_above_the_cap(capsys, monkeypatch):
+    # No environment setting raises the cap.
+    refused = (2, "", "error: the group size 7 exceeds the bound 6\n")
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    assert run(capsys, "verify", "--group", "7") == refused
+    monkeypatch.setenv("SCHUBERT_MAX_N", "7")
+    assert run(capsys, "verify", "--group", "7") == refused
     code, out, _ = run(capsys, "verify", "--group", "3", "--check", "poly")
     assert code == 0
     assert json.loads(out)["check"] == "poly"
-
-
-def test_verify_rejects_bad_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SCHUBERT_MAX_N", "many")
-    assert run(capsys, "verify", "--group", "2")[0] == 2
 
 
 def test_verify_rejects_an_empty_group(capsys):
@@ -301,8 +298,22 @@ def test_pop_refuses_a_non_reduced_pipe_dream(tmp_path, capsys):
             {"model": "pd", "crosses": [[]]},
             "the field 'crosses' must be a list of [row, col] pairs",
         ),
+        (
+            {"model": "bpd", "n": True, "tiles": [["r"]]},
+            "the field 'n' must be an integer, not True",
+        ),
+        (
+            {"model": "bpd", "n": 1.0, "tiles": [["r"]]},
+            "the field 'n' must be an integer, not 1.0",
+        ),
     ],
-    ids=["pd-no-crosses", "bpd-no-tiles", "pd-empty-cross"],
+    ids=[
+        "pd-no-crosses",
+        "bpd-no-tiles",
+        "pd-empty-cross",
+        "bpd-bool-n",
+        "bpd-float-n",
+    ],
 )
 def test_a_missing_or_misshapen_field_is_named(tmp_path, capsys, payload, message):
     code, out, err = run(capsys, "render", write_json(tmp_path, "d.json", payload))

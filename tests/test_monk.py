@@ -397,6 +397,20 @@ def test_lemma_case_audits_small(pi):
                 assert lemma_case_audit(d, ("m", s, beta)).passed()
 
 
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_lemma_case_audit_rejects_what_it_cannot_audit(model):
+    enum = MODELS[model].enumerate
+    (d,) = enum(Permutation.parse("2,1"))
+    (identity,) = enum(Permutation.parse("1"))
+    # 2,1,3 t_{1,3} = 3,1,2 is longer, so no m move at (1, 3) reaches d.
+    with pytest.raises(ValueError, match="is not a cover of"):
+        lemma_case_audit(d, ("m", 1, 3))
+    with pytest.raises(ValueError, match="cannot pop"):
+        lemma_case_audit(identity, ("x", 1))
+    with pytest.raises(ValueError, match="unknown move"):
+        lemma_case_audit(d, ("y", 1))
+
+
 def test_result_l_is_the_cover_step():
     base = Permutation((2, 1, 4, 3))
     for d in enumerate_pipe_dreams(base):
