@@ -9,20 +9,19 @@ the pairs to bpd_insert in reverse order, starting from the identity grid.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .bumpless import BumplessPipeDream, bpd_insert, bpd_pop
 from .errors import InvariantError
 from .perm import Permutation
 from .pipedream import CompatibleSequence, PipeDream
 
 
-class PhiResult:
+class PhiResult(NamedTuple):
     """A compatible sequence plus the trail that produced it."""
 
-    __slots__ = ("sequence", "pops")
-
-    def __init__(self, sequence, pops):
-        self.sequence = sequence
-        self.pops = pops
+    sequence: CompatibleSequence
+    pops: tuple[tuple[int, int], ...]
 
     def pipe_dream(self) -> PipeDream:
         return self.sequence.to_pipe_dream()

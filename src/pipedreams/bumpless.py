@@ -22,7 +22,7 @@ the order goldens pin, and as the independent oracle of enumerate_bpds.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import EmptyDiagramError, InvalidDiagramError, InvariantError, MoveError
 from .perm import Permutation
@@ -228,14 +228,11 @@ def _move_strip(
     return tuple(out)
 
 
-class BpdTrace:
+class BpdTrace(NamedTuple):
     """The permutation of a diagram and where each pair of pipes crosses."""
 
-    __slots__ = ("perm", "pair_crossings")
-
-    def __init__(self, perm, pair_crossings):
-        self.perm = perm
-        self.pair_crossings = pair_crossings
+    perm: Permutation
+    pair_crossings: dict[frozenset[int], tuple[tuple[int, int], ...]]
 
 
 def _trim_rows(rows: tuple[str, ...]) -> tuple[str, ...]:
@@ -395,14 +392,12 @@ class BumplessPipeDream:
         # single-pipe tile and two per cross (trace rejects bumps).  So
         # blanks equal crosses, which equal crossing pairs here, and a
         # mismatch is a fault of the library.
-        pi = trace.perm
         count = sum(row.count(".") for row in rows)
-        if count != len(trace.pair_crossings):
-            raise InvariantError(
-                f"{count} blanks but permutation length {pi.length()}"
-            )
-        self._perm = (rows, pi)
-        return pi
+        pairs = len(trace.pair_crossings)
+        if count != pairs:
+            raise InvariantError(f"{count} blanks but {pairs} crossing pairs")
+        self._perm = (rows, trace.perm)
+        return trace.perm
 
     def perm(self) -> Permutation:
         return self.validate()
@@ -486,7 +481,7 @@ class BumplessPipeDream:
         return cls("".join(row) for row in tiles)
 
 
-class PopResult:
+class PopResult(NamedTuple):
     """Outcome of one pop step on a bumpless diagram.
 
     a and r satisfy perm(result) = s_a * perm(input), the weight drops by
@@ -494,19 +489,10 @@ class PopResult:
     rectangle the marked blank moved through.
     """
 
-    __slots__ = ("a", "r", "result", "footprints")
-
-    def __init__(self, a, r, result, footprints):
-        self.a = a
-        self.r = r
-        self.result = result
-        self.footprints = footprints
-
-    def __repr__(self) -> str:
-        return (
-            f"PopResult(a={self.a}, r={self.r}, result={self.result!r}, "
-            f"footprints={self.footprints!r})"
-        )
+    a: int
+    r: int
+    result: BumplessPipeDream
+    footprints: tuple[tuple[int, int], ...]
 
 
 def bpd_pop(diagram: BumplessPipeDream) -> PopResult:

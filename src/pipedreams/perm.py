@@ -205,7 +205,7 @@ def multiply_word(word: Iterable[int]) -> tuple[Permutation, bool]:
     reduced = True
     for i in word:
         if i < 1:
-            raise ValueError(f"need 1 <= a < b, got {(i, i + 1)}")
+            raise ValueError(f"the letter {i} is below 1")
         if len(w) <= i:
             w.extend(range(len(w) + 1, i + 2))
         if w[i - 1] > w[i]:

@@ -10,7 +10,7 @@ right by right multiplication, is the permutation of the diagram.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     EmptyDiagramError,
@@ -115,7 +115,11 @@ class PipeDream:
 
     def perm(self) -> Permutation:
         """The permutation of the diagram; raises if a pair crosses twice."""
-        pi, reduced = multiply_word(self.word())
+        return self._perm_of(self.word())
+
+    def _perm_of(self, word: tuple[int, ...]) -> Permutation:
+        """perm() given the diagram's word."""
+        pi, reduced = multiply_word(word)
         if not reduced:
             raise InvalidDiagramError(
                 f"pipe dream {sorted(self.crosses)} is not reduced"
@@ -129,11 +133,10 @@ class PipeDream:
         )
 
     def to_compatible(self) -> CompatibleSequence:
-        self.perm()
         crosses = self.sorted_crosses()
-        return CompatibleSequence(
-            tuple(r + c - 1 for r, c in crosses), tuple(r for r, _ in crosses)
-        )
+        word = tuple(r + c - 1 for r, c in crosses)
+        self._perm_of(word)
+        return CompatibleSequence(word, (r for r, _ in crosses))
 
     def pop(self) -> tuple[tuple[int, int], "PipeDream"]:
         """Remove the first cross in the grid order.
@@ -176,7 +179,7 @@ class PipeDream:
         return cls((r, c) for r, c in crosses)
 
 
-class PipeDreamTrace:
+class PipeDreamTrace(NamedTuple):
     """The two pipes at each cross of a cross set.
 
     Pipes are labeled by the column where they enter at the top of the grid;
@@ -184,11 +187,8 @@ class PipeDreamTrace:
     until they leave through the west border.
     """
 
-    __slots__ = ("cross_pipes", "pair_crossings")
-
-    def __init__(self, cross_pipes, pair_crossings):
-        self.cross_pipes = cross_pipes
-        self.pair_crossings = pair_crossings
+    cross_pipes: dict[tuple[int, int], frozenset[int]]
+    pair_crossings: dict[frozenset[int], tuple[tuple[int, int], ...]]
 
 
 def trace_pipes(crosses: Iterable[tuple[int, int]]) -> PipeDreamTrace:

@@ -108,7 +108,7 @@ def _reach(key) -> tuple[int, int]:
 
 class Atlas:
     """One call's memos, each filled on first use: diagrams(model, pi),
-    schubert(pi, ambient), and the library's pop(d), move(d, move) and
+    schubert(pi), and the library's pop(d), move(d, move) and
     image(b) (phi) of one diagram, keyed by its exact rows or crosses.
     Each keeps only what the checks read: a pop's letter, row and result,
     a move's output and, for a pipe dream, whether its complete footprints
@@ -119,7 +119,7 @@ class Atlas:
 
     def __init__(self):
         self._diagrams = {}  # (model, pi) -> frozenset of diagrams
-        self._schubert = {}  # (pi, ambient) -> polynomial
+        self._schubert = {}  # pi -> polynomial
         self._images = {}  # rows -> CompatibleSequence
         self._pops = {}  # key -> (a, r, result)
         self._moves = {}  # (key, move) -> (output, footprints distinct)
@@ -135,10 +135,10 @@ class Atlas:
             self._diagrams[model, pi] = found
         return found
 
-    def schubert(self, pi: Permutation, ambient=None) -> SparsePolynomial:
-        poly = self._schubert.get((pi, ambient))
+    def schubert(self, pi: Permutation) -> SparsePolynomial:
+        poly = self._schubert.get(pi)
         if poly is None:
-            poly = self._schubert[pi, ambient] = schubert_polynomial(pi, ambient)
+            poly = self._schubert[pi] = schubert_polynomial(pi)
         return poly
 
     def image(self, b: BumplessPipeDream) -> CompatibleSequence:
@@ -181,7 +181,7 @@ class Atlas:
             return length >= least and size <= bound
 
         self._diagrams = {k: v for k, v in self._diagrams.items() if kept(k[1])}
-        self._schubert = {k: v for k, v in self._schubert.items() if kept(k[0])}
+        self._schubert = {k: v for k, v in self._schubert.items() if kept(k)}
         self._images = {k: v for k, v in self._images.items() if kept(k)}
         self._pops = {k: v for k, v in self._pops.items() if kept(k)}
         self._moves = {
@@ -327,15 +327,12 @@ def verify_partition(pi: Permutation, alpha: int, model: str) -> bool:
     return Atlas().partitions(pi, alpha, model)
 
 
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of one case audit: a case label and named clause results."""
 
-    __slots__ = ("model", "case", "checks")
-
-    def __init__(self, model, case, checks):
-        self.model = model
-        self.case = case
-        self.checks = checks
+    model: str
+    case: str
+    checks: list[tuple[str, str, str]]
 
     def passed(self) -> bool:
         return all(status != "fail" for _, status, _ in self.checks)
@@ -392,7 +389,7 @@ def _monk_poly(n: int, seed, atlas: Atlas, pi: Permutation):
 
 
 def _stability(n: int, seed, atlas: Atlas, pi: Permutation):
-    if atlas.schubert(pi, n + 2) != atlas.schubert(pi):
+    if schubert_polynomial(pi, n + 2) != atlas.schubert(pi):
         return f"ambient change alters the polynomial at {pi}"
     return ()
 

@@ -14,6 +14,7 @@ from pipedreams import (
     PipeDream,
     bpd_insert,
     bpd_pop,
+    bpd_x_insert,
     bruhat_covers,
     enumerate_bpds,
     enumerate_pipe_dreams,
@@ -33,6 +34,19 @@ def test_phi_of_identity_is_empty():
     assert res.sequence == CompatibleSequence((), ())
     assert res.pops == ()
     assert res.pipe_dream() == PipeDream([])
+
+
+def test_the_records_of_rothe_321_print_their_fields():
+    b = BumplessPipeDream.rothe(Permutation([3, 2, 1]))
+    assert repr(bpd_pop(b)) == (
+        "PopResult(a=2, r=1, result=BumplessPipeDream(['.r-', '.|r', 'r++']), "
+        "footprints=())"
+    )
+    assert repr(phi(b)) == "PhiResult(CompatibleSequence((2, 1, 2), (1, 1, 2)))"
+    assert repr(bpd_x_insert(b, 1)[1]) == (
+        "MonkTrace(steps=(('min_droop', ((1, 3), (4, 4))), "
+        "('bump_to_cross', ((4, 4),))), result_l=4)"
+    )
 
 
 def test_phi_of_rothe_21():

@@ -212,7 +212,7 @@ def test_a_blank_count_off_the_crossing_pairs_is_an_invariant_error(monkeypatch)
         return word, pairs, up
 
     monkeypatch.setattr(bumpless, "_sweep", dropping)
-    with pytest.raises(InvariantError, match="^1 blanks but permutation length 1$"):
+    with pytest.raises(InvariantError, match="^1 blanks but 0 crossing pairs$"):
         BumplessPipeDream((".r", "r+")).validate()
 
 

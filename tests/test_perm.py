@@ -18,6 +18,7 @@ from pipedreams import (
     schubert_polynomial,
     symmetric_group,
 )
+from pipedreams.perm import multiply_word
 
 
 def brute_length(word):
@@ -283,6 +284,11 @@ def test_unchecked_products_drop_trailing_fixed_points():
     for a, b in [(0, 1), (2, 2), (3, 1)]:
         with pytest.raises(ValueError, match="need 1 <= a < b"):
             Permutation([2, 1]).right_t(a, b)
+
+
+def test_a_word_letter_below_1_is_named():
+    with pytest.raises(ValueError, match="^the letter 0 is below 1$"):
+        multiply_word([2, 0])
 
 
 def test_schubert_polynomial_makes_no_checked_permutation(monkeypatch):

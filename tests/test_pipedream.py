@@ -28,6 +28,7 @@ from pipedreams import (
     symmetric_group,
     trace_pipes,
 )
+from pipedreams import pipedream
 from pipedreams.perm import multiply_word
 from pipedreams.render import render_pipe_dream
 
@@ -137,6 +138,24 @@ def test_compatible_sequence_roundtrip(pi):
         seq.validate()
         assert seq.permutation() == pi
         assert seq.to_pipe_dream() == d
+
+
+def test_to_compatible_sorts_the_crosses_once(monkeypatch):
+    calls = []
+    real = pipedream.grid_key
+
+    def counting(pos):
+        calls.append(pos)
+        return real(pos)
+
+    monkeypatch.setattr(pipedream, "grid_key", counting)
+    d = PipeDream([(1, 1), (1, 2), (2, 1)])
+    assert d.to_compatible() == CompatibleSequence((2, 1, 2), (1, 1, 2))
+    assert sorted(calls) == sorted(d.crosses)
+    with pytest.raises(
+        InvalidDiagramError, match=r"^pipe dream \[\(1, 2\), \(2, 1\)\] is not reduced$"
+    ):
+        PipeDream([(1, 2), (2, 1)]).to_compatible()
 
 
 def test_compatible_sequence_validation_errors():

@@ -77,6 +77,15 @@ def test_unbroken_moves_pass():
     assert verify.run_checks(3, "footprints") == PASSING_FOOTPRINTS
 
 
+def test_a_failing_lemma_audit_reports_its_repr(monkeypatch):
+    _break(monkeypatch, "pd_x_insert", "wrong_diagram")
+    detail = (
+        "AuditReport(pd, x-low, [('pop', 'fail', 'got (2, 2)'), "
+        "('nabla', 'fail', '')]) at 1,3,2"
+    )
+    assert verify.run_checks(3, "lemmas") == {"lemmas": (False, detail)}
+
+
 def _reversed_r(real):
     def broken(b):
         res = real(b)
@@ -159,12 +168,13 @@ def calls(monkeypatch):
 
 def test_each_diagram_set_and_polynomial_is_computed_once_per_run(calls):
     verify.run_checks(3)
-    # 17 permutations reach an enumeration and 29 (pi, ambient) pairs a
-    # Schubert polynomial.  phi runs once on each of the 49 distinct grids
-    # that are enumerated or a bumpless move's output, and once on each of
-    # the 7 phi_inverse outputs; bpd_pop once on each of the 48 grids the
-    # lemma audits pop, and again in the 6 round trips; each move once per
-    # distinct input.
+    # 17 permutations reach an enumeration and 29 calls a Schubert
+    # polynomial: 23 permutations through the atlas, and the 6 of S_3 again
+    # at the ambient size 5 of the stability check.  phi runs once on each
+    # of the 49 distinct grids that are enumerated or a bumpless move's
+    # output, and once on each of the 7 phi_inverse outputs; bpd_pop once
+    # on each of the 48 grids the lemma audits pop, and again in the 6
+    # round trips; each move once per distinct input.
     assert calls == {
         "enumerate_bpds": 17,
         "enumerate_pipe_dreams": 17,
