@@ -563,13 +563,11 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
     """
     if a < 1 or r < 1:
         raise ValueError("a and r must be positive")
-    # The grid is reduced, so pipes a and a+1 cross iff a is a left descent.
+    # Pipes a and a+1 of the reduced grid cross iff a is a left descent, else x < x2.
     if a in diagram.validate().left_descents():
         return None
     rows = diagram.grow_to(max(diagram.n, a + 1)).rows
     x, x2 = _first_turn(rows, a), _first_turn(rows, a + 1)
-    if x >= x2:
-        return None
     # Recross pipes a and a+1 at (x2, a+1), opening the blank at (x, a).
     rows = _move_strip(rows, x, x2, a, "cross", _REVERSE)
     bx, by = x, a
@@ -630,28 +628,27 @@ def iter_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
 
 def _build_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
     """The bumpless pipe dreams of pi, built tile by tile in _sweep's order
-    and state (up[j] on a tile's S edge, carry on its W edge).  No pipe
-    gives '.'; one pipe goes north ('|', 'j') or east ('r', '-'), w(i) only
-    east in row i, which it must leave; two cross ('+') only as an inversion
-    of pi not yet crossed.  Row i ends carrying w(i), every inversion of
-    w(i) crossed: validate()'s checks, so each grid carries pi."""
+    and state (up[j] on a tile's S edge, carry on its W edge).  No pipe gives
+    '.'; one pipe goes north ('|', 'j') or east ('r', '-'), w(i) only east in
+    row i, which it must leave; two cross ('+') only as an inversion of pi
+    not yet crossed.  So row i ends carrying w(i), every inversion of w(i)
+    crossed, as validate() checks: w(i) crosses north only under a carried
+    partner that started east of it, so crossed it already, and once carried
+    stays carried to the border, crossing every partner still alive."""
     n = max(pi.size, 1)
     w = [pi(i) for i in range(1, n + 1)]
-    # The inversion of the pipes leaving rows a < b (from 0) is bit b * n + a:
-    # the pairs due to have crossed once row i is done are the bits from i * n.
     bit: dict[tuple[int, int], int] = {}
-    for a, b in itertools.combinations(range(n), 2):
-        if w[a] > w[b]:
-            bit[w[a], w[b]] = bit[w[b], w[a]] = 1 << (b * n + a)
-    every = sum(bit.values()) // 2
+    for k, (p, q) in enumerate(itertools.combinations(w, 2)):
+        if p > q:
+            bit[p, q] = bit[q, p] = 1 << k
     # (row, column, up, carry, crossed pairs, row so far, rows below it)
     stack = [(n - 1, 0, tuple(range(1, n + 1)), None, 0, "", ())]
     while stack:
         i, j, up, carry, crossed, row, rows = stack.pop()
         while True:
             if j == n:
-                if carry != w[i] or crossed >> i * n != every >> i * n:
-                    break
+                if carry != w[i]:
+                    raise InvariantError(f"row {i + 1} ends carrying {carry}, not {w[i]}")
                 rows, row, j, carry, i = (row,) + rows, "", 0, None, i - 1
                 if i >= 0:
                     continue

@@ -10,13 +10,15 @@ partition the diagrams of all pi t_{a,l}.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .bumpless import BumplessPipeDream, _droop_rows, _sweep
 from .errors import InvariantError, MoveError
 from .perm import Permutation, is_bruhat_cover
 from .pipedream import PipeDream, trace_pipes
 
 
-class MonkTrace:
+class MonkTrace(NamedTuple):
     """Step-by-step record of one insertion move.
 
     steps is a tuple of (kind, coordinates) pairs.  footprints holds one
@@ -28,13 +30,10 @@ class MonkTrace:
     result_l is the l with output permutation equal to base t_{a,l}.
     """
 
-    __slots__ = ("steps", "footprints", "complete_footprints", "result_l")
-
-    def __init__(self, steps, footprints, complete_footprints, result_l):
-        self.steps = steps
-        self.footprints = footprints
-        self.complete_footprints = complete_footprints
-        self.result_l = result_l
+    steps: tuple[tuple[str, tuple], ...]
+    footprints: tuple[tuple[int, int], ...]
+    complete_footprints: tuple[tuple[int, int], ...] | None
+    result_l: int
 
     def __repr__(self) -> str:
         return f"MonkTrace(steps={self.steps!r}, result_l={self.result_l})"
@@ -126,8 +125,7 @@ def bpd_min_droop(
     while b + y <= diagram.n and diagram.tile(a, b + y) == "+":
         y += 1
     far = (a + x, b + y)
-    if max(far) > diagram.n:
-        diagram = diagram.grow_to(max(far))
+    diagram = diagram.grow_to(max(far))
     return BumplessPipeDream._of(_droop_rows(diagram.rows, pos, far)), far
 
 

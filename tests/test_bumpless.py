@@ -652,6 +652,22 @@ def test_builder_matches_droop_closure_on_s7_s8_samples():
         assert_builder_matches_droop_closure(pi)
 
 
+class _EveryValueTwo:
+    """A stand-in permutation of size 2 that sends both rows to pipe 2."""
+
+    size = 2
+
+    def __call__(self, i):
+        return 2
+
+
+def test_a_row_ending_off_its_exit_pipe_is_an_invariant_error():
+    # Row 2 ends carrying pipe 2, so row 1 starts with pipe 1 alone and
+    # carries it to the border, where w(1) = 2 is due.
+    with pytest.raises(InvariantError, match=r"^row 1 ends carrying 1, not 2$"):
+        list(bumpless._build_bpds(_EveryValueTwo()))
+
+
 def test_builder_needs_no_recursion_at_size_40():
     pi = Permutation([*range(1, 39), 40, 39])
     diagrams = enumerate_bpds(pi)
@@ -764,6 +780,20 @@ def test_insert_absent_when_pipes_already_cross():
     d = BumplessPipeDream.rothe(Permutation((2, 1)))
     for r in range(1, 5):
         assert bpd_insert(d, 1, r) is None
+
+
+def test_pipe_a_turns_above_pipe_a_plus_1_where_they_do_not_cross():
+    # bpd_insert recrosses pipes a and a+1 on this fact, with no check of its own.
+    checked = 0
+    for pi in symmetric_group(6):
+        descents = pi.left_descents()
+        for d in enumerate_bpds(pi):
+            for a in range(1, 8):
+                if a not in descents:
+                    rows = d.grow_to(max(d.n, a + 1)).rows
+                    assert bumpless._first_turn(rows, a) < bumpless._first_turn(rows, a + 1)
+                    checked += 1
+    assert checked == 26946
 
 
 def test_insert_absent_for_unreachable_row():

@@ -17,6 +17,7 @@ from pipedreams import verify
 from pipedreams.bijection import PhiResult
 from pipedreams.cli import main
 from pipedreams.errors import InvariantError, MoveError
+from pipedreams.perm import is_bruhat_cover
 from pipedreams.pipedream import CompatibleSequence
 
 PASSING_DIAGRAMS = {
@@ -54,8 +55,7 @@ def _break(monkeypatch, move, fault):
         out, trace = real(d, *args)
         if fault == "wrong_diagram":
             return d, trace
-        trace.complete_footprints = [(1, 1), (1, 1)]
-        return out, trace
+        return out, trace._replace(complete_footprints=[(1, 1), (1, 1)])
 
     monkeypatch.setattr(verify, move, broken)
 
@@ -289,8 +289,7 @@ def test_the_first_failure_in_group_order_wins_over_a_shorter_permutation(
         if fault == "raise":
             raise MoveError(f"broken at {d.perm()}")
         if fault == "fail":
-            trace.complete_footprints = [(1, 1), (1, 1)]
-            return d, trace
+            return d, trace._replace(complete_footprints=[(1, 1), (1, 1)])
         return out, trace
 
     monkeypatch.setattr(verify, "pd_x_insert", broken)
@@ -384,3 +383,14 @@ def test_x_generic_audit_skips_only_the_follow_up_nabla_clause(refusing):
     assert report.checks[1] == ("nabla", "skip", "refused")
     with pytest.raises(ValueError, match="refused"):
         refusing(d, move, x=2)
+
+
+def test_bruhat_covers_are_the_bruhat_covers_below_the_bound():
+    for pi in pipedreams.symmetric_group(5):
+        for bound in range(2, 8):
+            assert verify.bruhat_covers(pi, bound) == [
+                (s, b)
+                for b in range(2, bound + 1)
+                for s in range(1, b)
+                if is_bruhat_cover(pi, s, b)
+            ]
