@@ -56,6 +56,7 @@ CASES = {
     "pop_empty_pd": (["pop"], PD_EMPTY),
     "insert": (["insert", "--a", "4", "--r", "1"], BPD_1432),
     "insert_none": (["insert", "--a", "1", "--r", "1"], BPD_1432),
+    "insert_none_pretty": (["insert", "--a", "1", "--r", "1", "--pretty"], BPD_1432),
     "insert_pretty": (["insert", "--a", "4", "--r", "1", "--pretty"], BPD_1432),
     "monk_x_pd": (["monk", "x", "--alpha", "2"], PD_21543),
     "monk_x_bpd": (["monk", "x", "--alpha", "2"], BPD_21543),
