@@ -2,8 +2,10 @@
 
 Subcommands operate on permutations given as comma or space separated
 one-line notation, and on diagrams given as JSON files ('-' reads stdin).
-Output is JSON by default; --pretty switches to plain-text drawings.  Exit
-codes: 0 success, 1 a verification reported a failure, 2 invalid input.
+Output is JSON by default; --pretty switches to plain-text drawings.  Each
+subcommand's handler returns its output, the text or the JSON payload, and
+main writes it.  Exit codes: 0 success, 1 a verification reported a failure,
+2 invalid input.
 """
 
 from __future__ import annotations
@@ -89,101 +91,76 @@ def _emit(payload) -> None:
     sys.stdout.write("".join(batch))
 
 
-def _cmd_schubert(args) -> int:
+def _cmd_schubert(args):
     pi = _parse_perm(args.perm, _MAX_SCHUBERT_SIZE)
     poly = schubert_polynomial(pi)
     if args.pretty:
-        print(str(poly))
-    else:
-        _emit(
-            {
-                "perm": str(pi),
-                "method": "dd",
-                "polynomial": poly.to_json(),
-                "display": str(poly),
-            }
-        )
-    return 0
+        return str(poly)
+    return {
+        "perm": str(pi),
+        "method": "dd",
+        "polynomial": poly.to_json(),
+        "display": str(poly),
+    }
 
 
-def _cmd_enum(args) -> int:
+def _cmd_enum(args):
     pi = _parse_perm(args.perm, _MAX_ENUM_SIZE)
     diagrams = sorted(
         MODELS[args.model].enumerate(pi),
         key=lambda d: json.dumps(d.to_json(), sort_keys=True),
     )
     if args.pretty:
-        print("\n\n".join(render(d, pretty=True) for d in diagrams))
-    else:
-        _emit(
-            {
-                "model": args.model,
-                "perm": str(pi),
-                "count": len(diagrams),
-                "diagrams": [d.to_json() for d in diagrams],
-            }
-        )
-    return 0
+        return "\n\n".join(render(d, pretty=True) for d in diagrams)
+    return {
+        "model": args.model,
+        "perm": str(pi),
+        "count": len(diagrams),
+        "diagrams": [d.to_json() for d in diagrams],
+    }
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args):
     diagram = args.diagram
     if args.inverse:
         if not isinstance(diagram, PipeDream):
             raise ValueError("the inverse map expects a pipe dream")
         out = phi_inverse(diagram)
-        if args.pretty:
-            print(render(out, pretty=True))
-        else:
-            _emit(out.to_json())
-    else:
-        if not isinstance(diagram, BumplessPipeDream):
-            raise ValueError("the forward map expects a bumpless diagram")
-        res = phi(diagram)
-        pd = res.pipe_dream()
-        if args.pretty:
-            print(f"a: {','.join(map(str, res.sequence.a))}")
-            print(f"r: {','.join(map(str, res.sequence.r))}")
-            print(render(pd, pretty=True))
-        else:
-            _emit(
-                {
-                    "sequence": res.sequence.to_json(),
-                    "pipe_dream": pd.to_json(),
-                }
-            )
-    return 0
+        return render(out, pretty=True) if args.pretty else out.to_json()
+    if not isinstance(diagram, BumplessPipeDream):
+        raise ValueError("the forward map expects a bumpless diagram")
+    res = phi(diagram)
+    pd = res.pipe_dream()
+    if args.pretty:
+        a, r = (",".join(map(str, seq)) for seq in (res.sequence.a, res.sequence.r))
+        return f"a: {a}\nr: {r}\n" + render(pd, pretty=True)
+    return {"sequence": res.sequence.to_json(), "pipe_dream": pd.to_json()}
 
 
-def _cmd_pop(args) -> int:
+def _cmd_pop(args):
     diagram = args.diagram
     # Only a reduced diagram pops; a bpd pop validates its input anyway.
     diagram.perm()
     res = model_of(diagram).pop(diagram)
     if args.pretty:
-        print(f"a={res.a} r={res.r}")
-        print(render(res.result, pretty=True))
-    else:
-        payload = {"a": res.a, "r": res.r, "result": res.result.to_json()}
-        if res.footprints is not None:
-            payload["footprints"] = res.footprints
-        _emit(payload)
-    return 0
+        return f"a={res.a} r={res.r}\n" + render(res.result, pretty=True)
+    payload = {"a": res.a, "r": res.r, "result": res.result.to_json()}
+    if res.footprints is not None:
+        payload["footprints"] = res.footprints
+    return payload
 
 
-def _cmd_insert(args) -> int:
+def _cmd_insert(args):
     diagram = args.diagram
     if not isinstance(diagram, BumplessPipeDream):
         raise ValueError("insertion applies to bumpless diagrams")
     out = bpd_insert(diagram, args.a, args.r)
     if args.pretty:
-        print(render(out, pretty=True) if out is not None else "no preimage")
-    else:
-        _emit({"result": out.to_json() if out is not None else None})
-    return 0
+        return render(out, pretty=True) if out is not None else "no preimage"
+    return {"result": out.to_json() if out is not None else None}
 
 
-def _cmd_monk(args) -> int:
+def _cmd_monk(args):
     diagram = args.diagram
     model = model_of(diagram)
     if args.variant == "x":
@@ -195,22 +172,17 @@ def _cmd_monk(args) -> int:
             raise ValueError("the m move needs --s and --beta")
         out, tr = model.m(diagram, args.s, args.beta)
     if args.pretty:
-        print(render(out, pretty=True))
-        print(f"l={tr.result_l}")
-    else:
-        _emit(
-            {
-                "result": out.to_json(),
-                "l": tr.result_l,
-                "steps": tr.steps,
-                "footprints": tr.footprints,
-                "complete_footprints": tr.complete_footprints,
-            }
-        )
-    return 0
+        return render(out, pretty=True) + f"\nl={tr.result_l}"
+    return {
+        "result": out.to_json(),
+        "l": tr.result_l,
+        "steps": tr.steps,
+        "footprints": tr.footprints,
+        "complete_footprints": tr.complete_footprints,
+    }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.group < 1:
         raise ValueError("group size must be positive")
     if args.group > _MAX_GROUP:
@@ -218,7 +190,7 @@ def _cmd_verify(args) -> int:
             f"the group size {args.group} exceeds the bound {_MAX_GROUP}"
         )
     results = run_checks(args.group, args.check, seed=args.seed)
-    payload = {
+    return {
         "group": args.group,
         "check": args.check,
         "results": {
@@ -226,13 +198,10 @@ def _cmd_verify(args) -> int:
             for name, (ok, detail) in results.items()
         },
     }
-    _emit(payload)
-    return 0 if all(ok for ok, _ in results.values()) else 1
 
 
-def _cmd_render(args) -> int:
-    print(render(args.diagram, pretty=args.pretty))
-    return 0
+def _cmd_render(args):
+    return render(args.diagram, pretty=args.pretty)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +278,13 @@ def main(argv=None) -> int:
             _check_bound("--" + option, getattr(args, option, None))
         if hasattr(args, "file"):
             args.diagram = _read_diagram(args.file)
-        return args.func(args)
+        out = args.func(args)
+        if isinstance(out, str):
+            print(out)
+        else:
+            _emit(out)
+        results = out["results"].values() if args.command == "verify" else ()
+        return 0 if all(r["passed"] for r in results) else 1
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from .monk import (
     pd_m_move,
     pd_x_insert,
 )
-from .perm import Permutation, monk_covers, symmetric_group
+from .perm import Permutation, is_bruhat_cover, monk_covers, symmetric_group
 from .pipedream import CompatibleSequence, PipeDream, enumerate_pipe_dreams
 from .poly import SparsePolynomial, schubert_polynomial
 
@@ -314,7 +314,8 @@ def bruhat_covers(pi: Permutation, bound: int | None = None) -> list[tuple[int, 
     """All (s, beta) with s < beta <= bound and pi t_{s,beta} covering pi."""
     if bound is None:
         bound = max(pi.size, 1) + 1
-    return [(s, b) for b in range(2, bound + 1) for s in monk_covers(pi, b)[0]]
+    pairs = ((s, b) for b in range(2, bound + 1) for s in range(1, b))
+    return [(s, b) for s, b in pairs if is_bruhat_cover(pi, s, b)]
 
 
 def verify_partition(pi: Permutation, alpha: int, model: str) -> bool:

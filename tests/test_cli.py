@@ -371,11 +371,21 @@ NEAR_MISSES = st.fixed_dictionaries(
 @example(["render"], "[" * 100_000)
 @example(["monk", "m", "--s", "1", "--beta", "2"], "[" * 100_000)
 def test_any_diagram_input_exits_0_or_2(argv, text):
-    # The file argument defaults to stdin.
+    # The file argument defaults to stdin.  A success writes only stdout, and
+    # bad input writes only a one-line error to stderr.
+    out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(
-        io.StringIO()
-    ), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) in (0, 2), (argv, text)
+        out
+    ), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, text)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and out.endswith("\n"), (argv, text, err)
+    else:
+        assert out == "", (argv, text, out)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, text, err)
+        assert err.endswith("\n"), (argv, text, err)
 
 
 @pytest.mark.parametrize(
