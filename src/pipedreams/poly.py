@@ -3,7 +3,9 @@
 Terms are stored as a dict mapping trimmed exponent tuples to nonzero integer
 coefficients, so ``x1`` is ``{(1,): 1}`` and the zero polynomial is ``{}``.
 Schubert polynomials come from iterated divided differences applied to the
-staircase monomial of the longest element.
+monomial x^code(u) of a dominant permutation u above pi in right weak order;
+a dominant (132-avoiding) permutation has that monomial as its Schubert
+polynomial (Macdonald, Notes on Schubert Polynomials, (4.7)).
 """
 
 from __future__ import annotations
@@ -183,21 +185,54 @@ def staircase_monomial(n: int) -> SparsePolynomial:
     return SparsePolynomial.monomial(tuple(range(n - 1, 0, -1)))
 
 
+def _code(pi: Permutation) -> list[int]:
+    """The Lehmer code: entry i counts the j > i with pi(j) < pi(i)."""
+    w = pi.word
+    return [sum(v < w[i] for v in w[i + 1:]) for i in range(len(w))]
+
+
+def _dominant_above(pi: Permutation) -> Permutation:
+    """A dominant permutation u with pi below it in right weak order.
+
+    Where code[i] < code[i+1], pi(i) < pi(i+1), so swapping positions i and
+    i+1 raises the length by one and turns the pair into
+    (code[i+1] + 1, code[i]).  Such swaps, stepping back after each, end
+    when the code weakly decreases, which makes the permutation dominant.
+    """
+    w, code = list(pi.word), _code(pi)
+    i = 0
+    while i + 1 < len(w):
+        if code[i] < code[i + 1]:
+            w[i], w[i + 1] = w[i + 1], w[i]
+            code[i], code[i + 1] = code[i + 1] + 1, code[i]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return Permutation._of(w)
+
+
 def schubert_polynomial(pi: Permutation, ambient: int | None = None) -> SparsePolynomial:
     """The Schubert polynomial of pi via divided differences.
 
-    ``ambient`` picks the symmetric group S_n to compute inside; any n at
-    least the support size gives the same polynomial (stability).
+    The route starts at a dominant permutation u above pi, whose Schubert
+    polynomial is x^code(u), and applies one divided difference per letter
+    of a reduced word of pi^{-1} u.  ``ambient`` instead starts inside the
+    symmetric group S_n, at its longest element and the staircase monomial;
+    any n at least the support size gives the same polynomial (stability).
 
     >>> str(schubert_polynomial(Permutation([3, 1, 2])))
     'x1^2'
     >>> str(schubert_polynomial(Permutation([1, 3, 2])))
     'x1 + x2'
     """
-    n = max(pi.size, 1) if ambient is None else ambient
-    if n < pi.size:
-        raise ValueError(f"ambient S_{n} too small for support {pi.size}")
-    f = staircase_monomial(n)
-    for i in reversed(one_reduced_word(pi.inverse() * Permutation.longest(n))):
+    if ambient is None:
+        top = _dominant_above(pi)
+        f = SparsePolynomial.monomial(_code(top))
+    elif ambient < pi.size:
+        raise ValueError(f"ambient S_{ambient} too small for support {pi.size}")
+    else:
+        top = Permutation.longest(ambient)
+        f = staircase_monomial(ambient)
+    for i in reversed(one_reduced_word(pi.inverse() * top)):
         f = divided_difference(f, i)
     return f

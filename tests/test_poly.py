@@ -1,6 +1,8 @@
 """Tests for sparse polynomials, divided differences, and Schubert
 polynomials."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from pipedreams import (
     staircase_monomial,
     symmetric_group,
 )
+from pipedreams import poly
 
 
 def x(i):
@@ -159,6 +162,67 @@ def test_dominant_permutation_is_single_monomial():
     pi = Permutation((3, 2, 1))
     S = schubert_polynomial(pi)
     assert S == SparsePolynomial({(2, 1): 1})
+
+
+def _lehmer_code(pi):
+    w = pi.word
+    return tuple(sum(w[j] < w[i] for j in range(i + 1, len(w))) for i in range(len(w)))
+
+
+def _avoids_132(pi):
+    w = pi.word
+    return not any(
+        w[i] < w[k] < w[j]
+        for i in range(len(w))
+        for j in range(i + 1, len(w))
+        for k in range(j + 1, len(w))
+    )
+
+
+def _seeded_sample(n, count, seed):
+    rng = random.Random(seed)
+    return [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(count)]
+
+
+@pytest.fixture
+def dd_calls(monkeypatch):
+    """Counts the divided differences schubert_polynomial applies."""
+    count = [0]
+    real = poly.divided_difference
+
+    def counting(f, i):
+        count[0] += 1
+        return real(f, i)
+
+    monkeypatch.setattr(poly, "divided_difference", counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "pis",
+    [list(symmetric_group(6)), _seeded_sample(7, 40, 7) + _seeded_sample(8, 20, 8)],
+    ids=["S6", "S7-S8-sample"],
+)
+def test_dominant_route_matches_the_longest_element_route(pis):
+    for pi in pis:
+        assert schubert_polynomial(pi) == schubert_polynomial(
+            pi, ambient=max(pi.size, 1)
+        ), pi
+
+
+def test_a_dominant_permutation_needs_no_divided_difference(dd_calls):
+    dominant = [pi for pi in symmetric_group(6) if _avoids_132(pi)]
+    assert len(dominant) == 132  # the Catalan number C_6
+    for pi in dominant:
+        assert schubert_polynomial(pi) == SparsePolynomial.monomial(_lehmer_code(pi))
+    assert dd_calls[0] == 0
+
+
+def test_divided_differences_over_s5_are_a_pinned_work_count(dd_calls):
+    # Starting each route at the longest element of S_{pi.size} took 481.
+    for pi in symmetric_group(5):
+        schubert_polynomial(pi)
+    assert dd_calls[0] == 156
 
 
 def test_multiplicity_two_coefficient():

@@ -27,6 +27,12 @@ PASSING_DIAGRAMS = {
     "commutation": (True, "37 move families commute with phi"),
     "partition": (True, "images partition the upper cover diagrams"),
 }
+PASSING_POLY = {
+    "triple_agreement": (True, "all 6 permutations agree"),
+    "monk_poly": (True, "24 instances hold"),
+    "stability": (True, "polynomials independent of the ambient size"),
+    "poly_ring": (True, "ring axioms hold on random samples"),
+}
 PASSING_FOOTPRINTS = {"footprints": (True, "51 moves leave distinct footprints")}
 
 # (move, fault) -> {check: (ok, detail)} of the changed checks
@@ -75,6 +81,20 @@ def test_failing_move_is_named_in_the_result(monkeypatch, move, fault):
 def test_unbroken_moves_pass():
     assert verify.run_checks(3, "diagrams") == PASSING_DIAGRAMS
     assert verify.run_checks(3, "footprints") == PASSING_FOOTPRINTS
+
+
+def test_stability_guards_the_dominant_start(monkeypatch):
+    """Starting at pi itself, not at a dominant permutation above it, gives
+    x^code(pi): right at the dominant permutations, wrong first at 132.
+    The stability check's longest-element route then disagrees."""
+    assert verify.run_checks(3, "poly") == PASSING_POLY
+    monkeypatch.setattr(pipedreams.poly, "_dominant_above", lambda pi: pi)
+    assert verify.run_checks(3, "poly") == {
+        "triple_agreement": (False, "disagreement at 1,3,2"),
+        "monk_poly": (False, "failure at id, alpha=2"),
+        "stability": (False, "ambient change alters the polynomial at 1,3,2"),
+        "poly_ring": PASSING_POLY["poly_ring"],
+    }
 
 
 def test_a_failing_lemma_audit_reports_its_repr(monkeypatch):
