@@ -28,7 +28,7 @@ from .verify import CHECK_GROUPS, MODELS, model_of, run_checks
 # and output bounded.
 _MAX_COORD = 64
 # enum of a permutation of size 9 writes about 240 MB at 1.75 GB peak RSS,
-# and schubert of one of size 10 takes about 7 s; both sizes are refused.
+# and schubert of one of size 10 takes about 3.5 s; both sizes are refused.
 _MAX_ENUM_SIZE = 8
 _MAX_SCHUBERT_SIZE = 9
 # verify of group 6 takes 73-88 s at about 120 MB peak RSS under -O on a

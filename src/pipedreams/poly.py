@@ -2,10 +2,10 @@
 
 Terms are stored as a dict mapping trimmed exponent tuples to nonzero integer
 coefficients, so ``x1`` is ``{(1,): 1}`` and the zero polynomial is ``{}``.
-Schubert polynomials come from iterated divided differences applied to the
-monomial x^code(u) of a dominant permutation u above pi in right weak order;
-a dominant (132-avoiding) permutation has that monomial as its Schubert
-polynomial (Macdonald, Notes on Schubert Polynomials, (4.7)).
+Schubert polynomials come from one climb: ascent swaps take pi up in right
+weak order to a dominant permutation u, whose Schubert polynomial is the
+monomial x^code(u) (Macdonald, Notes on Schubert Polynomials, (4.7)), and
+one divided difference per swap, in reverse order, comes back down to pi.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .errors import InvariantError
-from .perm import Permutation, one_reduced_word
+from .perm import Permutation
 
 
 def _trim(exp: tuple[int, ...]) -> tuple[int, ...]:
@@ -185,54 +185,53 @@ def staircase_monomial(n: int) -> SparsePolynomial:
     return SparsePolynomial.monomial(tuple(range(n - 1, 0, -1)))
 
 
-def _code(pi: Permutation) -> list[int]:
-    """The Lehmer code: entry i counts the j > i with pi(j) < pi(i)."""
-    w = pi.word
-    return [sum(v < w[i] for v in w[i + 1:]) for i in range(len(w))]
+def _climb(pi: Permutation, n: int | None) -> tuple[list[int], list[int]]:
+    """The Lehmer code of u and the swaps i1, ..., ik with pi s_i1 ... s_ik = u.
 
-
-def _dominant_above(pi: Permutation) -> Permutation:
-    """A dominant permutation u with pi below it in right weak order.
-
-    Where code[i] < code[i+1], pi(i) < pi(i+1), so swapping positions i and
-    i+1 raises the length by one and turns the pair into
-    (code[i+1] + 1, code[i]).  Such swaps, stepping back after each, end
-    when the code weakly decreases, which makes the permutation dominant.
+    Where code[i] <= code[i+1], pi(i) < pi(i+1), and swapping positions i,
+    i+1 adds one to the length and makes the pair (code[i+1] + 1, code[i]).
+    The climb steps back one position after each swap.  Without n it swaps
+    only where code[i] < code[i+1], so u is dominant: its code weakly
+    decreases.  With n it pads pi's word to length n and swaps every ascent,
+    so u is the longest element of S_n, whose code is the staircase.
     """
-    w, code = list(pi.word), _code(pi)
+    w = list(pi.word)
+    if n is not None:
+        w += range(len(w) + 1, n + 1)
+    code = [sum(v < w[i] for v in w[i + 1:]) for i in range(len(w))]
+    swaps: list[int] = []
     i = 0
-    while i + 1 < len(w):
-        if code[i] < code[i + 1]:
-            w[i], w[i + 1] = w[i + 1], w[i]
+    while i + 1 < len(code):
+        if code[i] < code[i + 1] or (n is not None and code[i] == code[i + 1]):
             code[i], code[i + 1] = code[i + 1] + 1, code[i]
+            swaps.append(i + 1)
             i = max(i - 1, 0)
         else:
             i += 1
-    return Permutation._of(w)
+    return code, swaps
 
 
 def schubert_polynomial(pi: Permutation, ambient: int | None = None) -> SparsePolynomial:
     """The Schubert polynomial of pi via divided differences.
 
-    The route starts at a dominant permutation u above pi, whose Schubert
-    polynomial is x^code(u), and applies one divided difference per letter
-    of a reduced word of pi^{-1} u.  ``ambient`` instead starts inside the
-    symmetric group S_n, at its longest element and the staircase monomial;
-    any n at least the support size gives the same polynomial (stability).
+    The route climbs from pi by ascent swaps to a dominant permutation u,
+    whose Schubert polynomial is x^code(u), and comes back down along the
+    same swaps, one divided difference each.  ``ambient`` instead climbs
+    inside the symmetric group S_n to its longest element, whose polynomial
+    is the staircase monomial; any n at least the support size gives the
+    same polynomial (stability).
 
     >>> str(schubert_polynomial(Permutation([3, 1, 2])))
     'x1^2'
     >>> str(schubert_polynomial(Permutation([1, 3, 2])))
     'x1 + x2'
     """
-    if ambient is None:
-        top = _dominant_above(pi)
-        f = SparsePolynomial.monomial(_code(top))
-    elif ambient < pi.size:
+    if ambient is not None and ambient < pi.size:
         raise ValueError(f"ambient S_{ambient} too small for support {pi.size}")
-    else:
-        top = Permutation.longest(ambient)
-        f = staircase_monomial(ambient)
-    for i in reversed(one_reduced_word(pi.inverse() * top)):
+    if ambient is not None and ambient < 1:
+        raise ValueError("need n >= 1")
+    code, swaps = _climb(pi, ambient)
+    f = SparsePolynomial.monomial(code)
+    for i in reversed(swaps):
         f = divided_difference(f, i)
     return f

@@ -2,6 +2,7 @@
 polynomials."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from pipedreams import (
     Permutation,
     SparsePolynomial,
     divided_difference,
+    one_reduced_word,
     reduced_words,
     schubert_polynomial,
     staircase_monomial,
@@ -208,6 +210,37 @@ def test_dominant_route_matches_the_longest_element_route(pis):
         assert schubert_polynomial(pi) == schubert_polynomial(
             pi, ambient=max(pi.size, 1)
         ), pi
+
+
+def _longest_element_route(pi, m):
+    """The Schubert polynomial of pi without the climb: the staircase
+    monomial of S_m, folded down a reduced word of pi^{-1} w0."""
+    f = staircase_monomial(m)
+    for i in reversed(one_reduced_word(pi.inverse() * Permutation.longest(m))):
+        f = divided_difference(f, i)
+    return f
+
+
+@pytest.mark.parametrize(
+    "pis",
+    [list(symmetric_group(6)), _seeded_sample(7, 40, 7) + _seeded_sample(8, 20, 8)],
+    ids=["S6", "S7-S8-sample"],
+)
+def test_both_climbs_match_the_longest_element_reference(pis):
+    for pi in pis:
+        for m in (max(pi.size, 1), max(pi.size, 1) + 2):
+            expect = _longest_element_route(pi, m)
+            assert schubert_polynomial(pi) == expect, (pi, m)
+            assert schubert_polynomial(pi, m) == expect, (pi, m)
+
+
+@pytest.mark.parametrize(
+    "ambient, message",
+    [(0, "need n >= 1"), (-1, "ambient S_-1 too small for support 0")],
+)
+def test_an_ambient_below_one_is_refused(ambient, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        schubert_polynomial(Permutation(), ambient)
 
 
 def test_a_dominant_permutation_needs_no_divided_difference(dd_calls):

@@ -83,17 +83,42 @@ def test_unbroken_moves_pass():
     assert verify.run_checks(3, "footprints") == PASSING_FOOTPRINTS
 
 
+def _climb_without_swaps(ambient):
+    """A fault in poly._climb: the climb with n (ambient) or without it
+    returns pi's own Lehmer code and no swaps, so that route starts and
+    ends at x^code(pi); the other climb is the real one."""
+    real = pipedreams.poly._climb
+
+    def broken(pi, n):
+        if (n is not None) != ambient:
+            return real(pi, n)
+        w = pi.word
+        return [sum(v < w[i] for v in w[i + 1:]) for i in range(len(w))], []
+
+    return broken
+
+
 def test_stability_guards_the_dominant_start(monkeypatch):
     """Starting at pi itself, not at a dominant permutation above it, gives
     x^code(pi): right at the dominant permutations, wrong first at 132.
-    The stability check's longest-element route then disagrees."""
+    The stability check's climb to the longest element then disagrees."""
     assert verify.run_checks(3, "poly") == PASSING_POLY
-    monkeypatch.setattr(pipedreams.poly, "_dominant_above", lambda pi: pi)
+    monkeypatch.setattr(pipedreams.poly, "_climb", _climb_without_swaps(ambient=False))
     assert verify.run_checks(3, "poly") == {
         "triple_agreement": (False, "disagreement at 1,3,2"),
         "monk_poly": (False, "failure at id, alpha=2"),
         "stability": (False, "ambient change alters the polynomial at 1,3,2"),
         "poly_ring": PASSING_POLY["poly_ring"],
+    }
+
+
+def test_stability_guards_the_longest_element_start(monkeypatch):
+    """The mirror fault: only the climb inside S_{n+2} stops at pi, so only
+    the stability check sees it."""
+    monkeypatch.setattr(pipedreams.poly, "_climb", _climb_without_swaps(ambient=True))
+    assert verify.run_checks(3, "poly") == {
+        **PASSING_POLY,
+        "stability": (False, "ambient change alters the polynomial at 1,3,2"),
     }
 
 
