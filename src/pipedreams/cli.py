@@ -31,7 +31,7 @@ _MAX_COORD = 64
 # and schubert of one of size 10 takes about 3.5 s; both sizes are refused.
 _MAX_ENUM_SIZE = 8
 _MAX_SCHUBERT_SIZE = 9
-# verify of group 6 takes 73-88 s at about 120 MB peak RSS under -O on a
+# verify of group 6 takes 62-96 s at about 116 MB peak RSS under -O on a
 # shared 2-vCPU host, and CI runs it on every push; group 7, with seven
 # times the permutations, was never run, so it is refused.
 _MAX_GROUP = 6

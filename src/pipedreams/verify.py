@@ -107,67 +107,62 @@ def _reach(key) -> tuple[int, int]:
 
 
 class Atlas:
-    """One call's memos, each filled on first use: diagrams(model, pi),
-    schubert(pi), and the library's pop(d), move(d, move) and
-    image(b) (phi) of one diagram, keyed by its exact rows or crosses.
-    Each keeps only what the checks read: a pop's letter, row and result,
-    a move's output and, for a pipe dream, whether its complete footprints
-    are distinct, and phi's compatible sequence.  The atlas holds one
-    object per diagram it returns.  forget(l, n) drops what no check at a
-    longer permutation of S_n reads.  The memos call this module's names,
-    which profilers and tests may rebind."""
+    """One call's memo, a table per kind, each entry filled on first use:
+    diagrams(model, pi) under the model's name, schubert(pi), and the
+    library's image(b) (phi), pop(d) and each move of one diagram, keyed by
+    its exact rows or crosses, with a table per move.  An entry keeps only
+    what the checks read: a pop's letter, row and result, a move's output
+    and, for a pipe dream, whether its complete footprints are distinct,
+    and phi's compatible sequence.  The "held" table gives the one object
+    the atlas returns per diagram.  One forgetting rule, forget(l, n),
+    drops what no check at a longer permutation of S_n reads.  The memo
+    calls this module's names, which profilers and tests may rebind."""
 
     def __init__(self):
-        self._diagrams = {}  # (model, pi) -> frozenset of diagrams
-        self._schubert = {}  # pi -> polynomial
-        self._images = {}  # rows -> CompatibleSequence
-        self._pops = {}  # key -> (a, r, result)
-        self._moves = {}  # (key, move) -> (output, footprints distinct)
-        self._held = {}  # key -> the diagram held for it
+        self._memo = {}  # kind -> {input: value}; no value is None
+
+    def _get(self, kind, key, make):
+        table = self._memo.setdefault(kind, {})
+        value = table.get(key)
+        if value is None:
+            value = table[key] = make()
+        return value
 
     def _hold(self, diagram):
-        return self._held.setdefault(_key(diagram), diagram)
+        return self._get("held", _key(diagram), lambda: diagram)
 
     def diagrams(self, model: str, pi: Permutation) -> frozenset:
-        found = self._diagrams.get((model, pi))
-        if found is None:
-            found = frozenset(map(self._hold, MODELS[model].enumerate(pi)))
-            self._diagrams[model, pi] = found
-        return found
+        return self._get(
+            model, pi, lambda: frozenset(map(self._hold, MODELS[model].enumerate(pi)))
+        )
 
     def schubert(self, pi: Permutation) -> SparsePolynomial:
-        poly = self._schubert.get(pi)
-        if poly is None:
-            poly = self._schubert[pi] = schubert_polynomial(pi)
-        return poly
+        return self._get("schubert", pi, lambda: schubert_polynomial(pi))
 
     def image(self, b: BumplessPipeDream) -> CompatibleSequence:
         """The compatible sequence of phi(b)."""
-        seq = self._images.get(b.rows)
-        if seq is None:
-            seq = self._images[b.rows] = phi(b).sequence
-        return seq
+        return self._get("image", b.rows, lambda: phi(b).sequence)
 
     def pop(self, diagram) -> tuple:
         """(a, r, result) of the model's pop of diagram."""
-        key = _key(diagram)
-        entry = self._pops.get(key)
-        if entry is None:
+
+        def make():
             res = model_of(diagram).pop(diagram)
-            entry = self._pops[key] = (res.a, res.r, self._hold(res.result))
-        return entry
+            return res.a, res.r, self._hold(res.result)
+
+        return self._get("pop", _key(diagram), make)
 
     def move(self, diagram, move) -> tuple:
         """The output of the model's move on diagram, and whether its
         complete footprints are distinct (None on a bumpless grid)."""
-        key = (_key(diagram), move)
-        entry = self._moves.get(key)
-        if entry is None:
+
+        def make():
             ops = model_of(diagram)
             out, trace = ops.apply(diagram, move)
             distinct = footprints_audit(trace) if ops.name == "pd" else None
-            entry = self._moves[key] = (self._hold(out), distinct)
-        return entry
+            return self._hold(out), distinct
+
+        return self._get(move, _key(diagram), make)
 
     def forget(self, level: int, n: int) -> None:
         """Keep only what a check at a longer permutation of S_n reads: the
@@ -176,20 +171,16 @@ class Atlas:
         of S_n of length level.  A lemma audit pops the diagrams it moves,
         then moves what it popped."""
 
-        def kept(key, least=level + 1, bound=n):
+        def kept(kind, key):
             length, size = _reach(key)
-            return length >= least and size <= bound
+            if kind == "held" or kind[:1] == ("x",):
+                return length >= level and size <= n
+            return length > level and size <= (n + 1 if kind[:1] == ("m",) else n)
 
-        self._diagrams = {k: v for k, v in self._diagrams.items() if kept(k[1])}
-        self._schubert = {k: v for k, v in self._schubert.items() if kept(k)}
-        self._images = {k: v for k, v in self._images.items() if kept(k)}
-        self._pops = {k: v for k, v in self._pops.items() if kept(k)}
-        self._moves = {
-            k: v
-            for k, v in self._moves.items()
-            if (kept(k[0], level) if k[1][0] == "x" else kept(k[0], bound=n + 1))
+        self._memo = {
+            kind: {k: v for k, v in table.items() if kept(kind, k)}
+            for kind, table in self._memo.items()
         }
-        self._held = {k: v for k, v in self._held.items() if kept(k, level)}
 
     def monk_identity(self, pi: Permutation, alpha: int) -> bool:
         left, right = monk_covers(pi, alpha)

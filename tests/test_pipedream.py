@@ -46,6 +46,11 @@ def test_constructor_and_equality():
         PipeDream([(0, 1)])
 
 
+def test_repr_lists_the_crosses_in_word_order():
+    d = PipeDream([(1, 1), (1, 2), (2, 1)])
+    assert repr(d) == "PipeDream([(1, 2), (1, 1), (2, 1)])"
+
+
 def test_word_reads_rows_top_down_right_to_left():
     d = PipeDream([(1, 1), (1, 2), (2, 1)])
     assert d.word() == (2, 1, 2)

@@ -62,6 +62,11 @@ def test_display_ordering():
     assert str(SparsePolynomial({(1, 1): -1, (): 3})) == "-x1*x2 + 3"
 
 
+def test_repr_lists_the_terms_by_exponent():
+    p = SparsePolynomial.variable(2) + SparsePolynomial.variable(1)
+    assert repr(p) == "SparsePolynomial({(0, 1): 1, (1,): 1})"
+
+
 def test_json_roundtrip():
     p = x(1) * x(2) + x(3) * x(3)
     data = p.to_json()

@@ -8,6 +8,7 @@ of the check groups that run it.
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,12 @@ import pytest
 import pipedreams
 from pipedreams import verify
 from pipedreams.bijection import PhiResult
+from pipedreams.bumpless import BumplessPipeDream
 from pipedreams.cli import main
 from pipedreams.errors import InvariantError, MoveError
-from pipedreams.perm import is_bruhat_cover
-from pipedreams.pipedream import CompatibleSequence
+from pipedreams.perm import Permutation, is_bruhat_cover
+from pipedreams.pipedream import CompatibleSequence, PipeDream
+from pipedreams.poly import SparsePolynomial
 
 PASSING_DIAGRAMS = {
     "bijection": (True, "bijective on 7 diagrams"),
@@ -183,6 +186,128 @@ def test_a_check_that_raises_fails_and_the_others_still_run(
     assert {check: (r["passed"], r["detail"]) for check, r in results.items()} == expected
 
 
+def _phi_of(pick):
+    """A fault in phi: each grid gets the true image of pick(grid)."""
+    return lambda real: lambda b: real(pick(b))
+
+
+def _first_grid(b):
+    # The set the fault builds lists its grids in the order of the set the
+    # atlas builds from the same grids, so bijection meets this one first.
+    return next(iter(pipedreams.enumerate_bpds(b.perm())))
+
+
+def _other_grid_of_132(b):
+    if str(b.perm()) != "1,3,2":
+        return b
+    return next(g for g in pipedreams.enumerate_bpds(b.perm()) if g != b)
+
+
+def _identity_image(real):
+    one = PhiResult(CompatibleSequence((1,), (1,)), ())
+    return lambda b: one if b.perm().is_identity() else real(b)
+
+
+def _without_first(real):
+    def broken(pi):
+        pds = real(pi)
+        return pds - {min(pds, key=PipeDream.sorted_crosses)} if len(pds) > 1 else pds
+
+    return broken
+
+
+# Which move at the identity commutation meets first with a wrong image
+# depends on which grid of 1,3,2 a set lists first, and so on string hashing.
+WRONG_MOVE_AT_ID = re.compile(r"[xm] move disagreement at id, .*")
+NOT_EXACT = (False, "raised InvariantError: divided difference not exact")
+# fault -> (group, owner, name, broken(real), the changed checks)
+FAULTS = {
+    "phi-not-injective": (
+        "diagrams", verify, "phi", _phi_of(_first_grid), {
+            "bijection": (False, "phi not injective at 1,3,2"),
+            "commutation": (False, WRONG_MOVE_AT_ID),
+        },
+    ),
+    "phi-changes-a-weight": (
+        "diagrams", verify, "phi", _phi_of(_other_grid_of_132), {
+            "bijection": (False, "phi changes a weight at 1,3,2"),
+            "commutation": (False, "x move disagreement at id, alpha=2"),
+        },
+    ),
+    "phi_inverse-not-inverse": (
+        "diagrams", verify, "phi_inverse",
+        lambda real: lambda d: BumplessPipeDream.rothe(d.perm()), {
+            "bijection": (False, "phi_inverse not inverse at 1,3,2"),
+        },
+    ),
+    "phi-image-misses-diagrams": (
+        "diagrams", verify, "enumerate_pipe_dreams", _without_first, {
+            "bijection": (False, "phi image misses diagrams at 1,3,2"),
+            "partition": (False, "partition fails at id, alpha=2, pd"),
+        },
+    ),
+    "sequence-permutation-mismatch": (
+        "diagrams", verify, "phi", _identity_image, {
+            "bijection": (False, "phi changes a weight at id"),
+            "compatible": (False, "sequence permutation mismatch at id"),
+            "commutation": (False, "x move disagreement at id, alpha=1"),
+        },
+    ),
+    "insert-does-not-undo-pop": (
+        "diagrams", verify, "bpd_insert", lambda real: lambda *args: None, {
+            "roundtrip": (False, "insert does not undo pop at 1,3,2"),
+        },
+    ),
+    "distributivity": (
+        "poly", SparsePolynomial, "__mul__",
+        lambda real: lambda p, q: SparsePolynomial.monomial((), 1), {
+            "triple_agreement": NOT_EXACT,
+            "monk_poly": (False, "failure at id, alpha=1"),
+            "stability": NOT_EXACT,
+            "poly_ring": (False, "distributivity failed"),
+        },
+    ),
+    "commutativity": (
+        "poly", SparsePolynomial, "__mul__", lambda real: lambda p, q: p, {
+            "triple_agreement": NOT_EXACT,
+            "monk_poly": NOT_EXACT,
+            "stability": NOT_EXACT,
+            "poly_ring": (False, "commutativity failed"),
+        },
+    ),
+    "associativity": (
+        "poly", SparsePolynomial, "__mul__",
+        lambda real: lambda p, q: real(p, q).swap_vars(1), {
+            "triple_agreement": NOT_EXACT,
+            "monk_poly": (False, "failure at id, alpha=1"),
+            "stability": NOT_EXACT,
+            "poly_ring": (False, "associativity failed"),
+        },
+    ),
+    "subtraction": (
+        "poly", SparsePolynomial, "__sub__", lambda real: lambda p, q: p + q, {
+            "triple_agreement": NOT_EXACT,
+            "monk_poly": NOT_EXACT,
+            "stability": NOT_EXACT,
+            "poly_ring": (False, "subtraction failed"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_each_check_failure_detail_can_fire(monkeypatch, fault):
+    group, owner, name, broken, changed = FAULTS[fault]
+    monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
+    results = verify.run_checks(3, group)
+    passing = PASSING_DIAGRAMS if group == "diagrams" else PASSING_POLY
+    assert results.keys() == passing.keys()
+    for check, (ok, detail) in results.items():
+        want_ok, want = changed.get(check, passing[check])
+        assert ok == want_ok, check
+        assert detail == want if isinstance(want, str) else want.fullmatch(detail)
+
+
 COUNTED = (
     "enumerate_bpds",
     "enumerate_pipe_dreams",
@@ -291,6 +416,38 @@ def test_the_atlas_gives_what_the_library_gives(monkeypatch):
     assert {method for method, _ in asked} == {"pop", "move", "image"}
     for (method, (d, *move)), out in asked.items():
         assert out == _direct(method, d, *move)
+
+
+def _entries(value):
+    """The leaves of a dict, recursing into dict values; any other value,
+    a frozenset or a tuple included, is one entry."""
+    if isinstance(value, dict):
+        return sum(map(_entries, value.values()))
+    return 1
+
+
+@pytest.mark.parametrize(
+    "n, kept",
+    [
+        (4, [69, 222, 336, 310, 170, 68, 18]),
+        (5, [104, 562, 1545, 2663, 3101, 2615, 1752, 835, 332, 104, 22]),
+    ],
+)
+def test_the_atlas_keeps_a_pinned_number_of_entries_after_each_length(
+    monkeypatch, n, kept
+):
+    # The call-count tests catch a forget that keeps too little; this one
+    # catches one that keeps too much, however the atlas lays out its memos.
+    counts = []
+    real = verify.Atlas.forget
+
+    def counting(self, level, n):
+        real(self, level, n)
+        counts.append(_entries(vars(self)))
+
+    monkeypatch.setattr(verify.Atlas, "forget", counting)
+    verify.run_checks(n)
+    assert counts == kept
 
 
 S4_PASSING = {
@@ -439,3 +596,9 @@ def test_bruhat_covers_are_the_bruhat_covers_below_the_bound():
                 for s in range(1, b)
                 if is_bruhat_cover(pi, s, b)
             ]
+
+
+def test_bruhat_covers_default_to_one_past_the_size():
+    assert verify.bruhat_covers(Permutation([2, 1])) == [(1, 3), (2, 3)]
+    assert verify.bruhat_covers(Permutation([2, 1]), 3) == [(1, 3), (2, 3)]
+    assert verify.bruhat_covers(Permutation()) == [(1, 2)]
