@@ -12,16 +12,15 @@ Pipe k enters the south border at the bottom of column k heading north and
 leaves through the east border; the diagram's permutation sends the exit row
 of pipe k back to k.  Tiles are addressed (row, col), 1-indexed.
 
-Two enumerators give the same set.  enumerate_bpds builds each grid row by
-row, checked as each tile is placed, with no droop and no trace; it serves
-every caller in the library.  iter_bpds closes the Rothe diagram under
-droops, validating each new grid; it is kept for its visiting order, which
-the order goldens pin, and as the independent oracle of enumerate_bpds.
+Two enumerators give the same set.  enumerate_bpds builds the grids a row
+at a time from their pipes alone, sharing each row among the grids on it,
+with no droop and no trace; it serves every caller in the library.  iter_bpds
+closes the Rothe diagram under droops, validating each new grid; it is kept
+for its visiting order, which goldens pin, and as enumerate_bpds's oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import EmptyDiagramError, InvalidDiagramError, InvariantError, MoveError
@@ -627,58 +626,58 @@ def iter_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
 
 
 def _build_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
-    """The bumpless pipe dreams of pi, built tile by tile in _sweep's order
-    and state (up[j] on a tile's S edge, carry on its W edge).  No pipe gives
-    '.'; one pipe goes north ('|', 'j') or east ('r', '-'), w(i) only east in
-    row i, which it must leave; two cross ('+') only as an inversion of pi
-    not yet crossed.  So row i ends carrying w(i), every inversion of w(i)
-    crossed, as validate() checks: w(i) crosses north only under a carried
-    partner that started east of it, so crossed it already, and once carried
-    stays carried to the border, crossing every partner still alive."""
+    """The bumpless pipe dreams of pi, built a row at a time from the bottom,
+    each from the west in _sweep's state: up[j] on a tile's S edge, carry on
+    its W edge.  No pipe gives '.'; one goes north ('|', 'j') or east ('r',
+    '-'), w(i) only east in row i.  Pipes keep their order until they cross,
+    so two cross ('+') only if carry < p and they are an inversion of pi, and
+    row i ends carrying w(i), all its inversions crossed, as validate() wants.
+    Rows below matter only through up: each up gets one walk over the row,
+    and each row it gives tops every stack with that up, which is then freed."""
     n = max(pi.size, 1)
     w = [pi(i) for i in range(1, n + 1)]
-    bit: dict[tuple[int, int], int] = {}
-    for k, (p, q) in enumerate(itertools.combinations(w, 2)):
-        if p > q:
-            bit[p, q] = bit[q, p] = 1 << k
-    # (row, column, up, carry, crossed pairs, row so far, rows below it)
-    stack = [(n - 1, 0, tuple(range(1, n + 1)), None, 0, "", ())]
-    while stack:
-        i, j, up, carry, crossed, row, rows = stack.pop()
-        while True:
-            if j == n:
-                if carry != w[i]:
-                    raise InvariantError(f"row {i + 1} ends carrying {carry}, not {w[i]}")
-                rows, row, j, carry, i = (row,) + rows, "", 0, None, i - 1
-                if i >= 0:
-                    continue
-                if sum(r.count(".") for r in rows) != crossed.bit_count() or any(up):
-                    raise InvariantError(f"the row builder made {rows} for {pi}")
-                grid = BumplessPipeDream._of(rows)
-                grid._perm = (rows, pi)
-                yield grid
-                break
-            p = up[j]
-            if p is None:
-                if carry is not None and carry != w[i]:
-                    north = up[:j] + (carry,) + up[j + 1 :]
-                    stack.append((i, j + 1, north, None, crossed, row + "j", rows))
-                row += "." if carry is None else "-"
-            elif carry is None:
-                if p != w[i]:
-                    stack.append((i, j + 1, up, None, crossed, row + "|", rows))
-                up, carry, row = up[:j] + (None,) + up[j + 1 :], p, row + "r"
-            else:
-                b = bit.get((p, carry), 0)
-                if not b or crossed & b:
+    exit_row = [0] * (n + 1)  # pipe -> the row it leaves through, less 1
+    for i, k in enumerate(w):
+        exit_row[k] = i
+    stacks = {tuple(range(1, n + 1)): [()]}  # up -> the stacks of rows below
+    for i in range(n - 1, -1, -1):
+        todo = [(0, up, None, "", below) for up, below in stacks.items()]
+        out, stacks = w[i], {}
+        while todo:
+            j, up, carry, row, below = todo.pop()
+            while j < n:
+                p = up[j]
+                if p is None:
+                    if carry is not None and carry != out:
+                        north = up[:j] + (carry,) + up[j + 1 :]
+                        todo.append((j + 1, north, None, row + "j", below))
+                    row += "." if carry is None else "-"
+                elif carry is None:
+                    if p != out:
+                        todo.append((j + 1, up, None, row + "|", below))
+                    up, carry, row = up[:j] + (None,) + up[j + 1 :], p, row + "r"
+                elif carry < p and exit_row[carry] > exit_row[p]:
+                    row += "+"
+                else:
                     break
-                crossed, row = crossed | b, row + "+"
-            j += 1
+                j += 1
+            else:
+                if carry != out:
+                    raise InvariantError(f"row {i + 1} ends carrying {carry}, not {out}")
+                stacks.setdefault(up, []).extend([(row,) + rows for rows in below])
+    length = pi.length()
+    for up, built in stacks.items():
+        for rows in built:
+            if any(up) or sum(r.count(".") for r in rows) != length:
+                raise InvariantError(f"the row builder made {rows} for {pi}")
+            grid = BumplessPipeDream._of(rows)
+            grid._perm = (rows, pi)
+            yield grid
 
 
 def enumerate_bpds(pi: Permutation) -> frozenset[BumplessPipeDream]:
-    """All bumpless pipe dreams of pi, built row by row; every grid shares
-    pi as its permutation.
+    """All bumpless pipe dreams of pi, built a row at a time; every grid
+    shares pi as its permutation, and each row built once is shared.
 
     >>> len(enumerate_bpds(Permutation([3, 2, 1])))
     1

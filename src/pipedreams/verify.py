@@ -131,10 +131,17 @@ class Atlas:
     def _hold(self, diagram):
         return self._get("held", _key(diagram), lambda: diagram)
 
-    def diagrams(self, model: str, pi: Permutation) -> frozenset:
-        return self._get(
-            model, pi, lambda: frozenset(map(self._hold, MODELS[model].enumerate(pi)))
-        )
+    def diagrams(self, model: str, pi: Permutation) -> tuple:
+        """The diagrams of pi, grids by their rows and pipe dreams by their
+        sorted crosses, so that every process visits them in one order."""
+
+        def make():
+            held = map(self._hold, MODELS[model].enumerate(pi))
+            if model == "bpd":
+                return tuple(sorted(held, key=lambda b: b.rows))
+            return tuple(sorted(held, key=lambda d: sorted(d.crosses)))
+
+        return self._get(model, pi, make)
 
     def schubert(self, pi: Permutation) -> SparsePolynomial:
         return self._get("schubert", pi, lambda: schubert_polynomial(pi))
@@ -417,7 +424,7 @@ def _bijection(n: int, seed, atlas: Atlas, pi: Permutation):
         if d.weight() != b.weight():
             return f"phi changes a weight at {pi}"
         image[d] = b
-    if set(image) != pds:
+    if set(image) != set(pds):
         return f"phi image misses diagrams at {pi}"
     for d in pds:
         if phi(phi_inverse(d)).pipe_dream() != d:

@@ -668,6 +668,14 @@ def test_a_row_ending_off_its_exit_pipe_is_an_invariant_error():
         list(bumpless._build_bpds(_EveryValueTwo()))
 
 
+def test_grids_built_on_the_same_pipes_share_their_rows():
+    # Each row is built once per set of pipes below it and shared by every
+    # grid built on them, not copied into each grid.
+    grids = enumerate_bpds(Permutation.parse("13287654"))
+    rows = [row for d in grids for row in d.rows]
+    assert len({id(row) for row in rows}) <= 2 * len(set(rows))
+
+
 def test_builder_needs_no_recursion_at_size_40():
     pi = Permutation([*range(1, 39), 40, 39])
     diagrams = enumerate_bpds(pi)

@@ -1,9 +1,9 @@
-"""Golden digests of the bumpless moves: the order in which iter_bpds
-visits grids (a prefix of the anchor, and every permutation of S5 and S6),
-every droop that succeeds on S5, every min-droop on S4, every
-pop step of the pop chains of S5, every insertion into S5, every Monk
-x and m move of S4 and S5, and the outcome of trace() on 100,000 seeded
-grids, most of them malformed.
+"""Golden digests of the bumpless moves: the grids enumerate_bpds builds
+for two permutations past S8, the order in which iter_bpds visits grids (a
+prefix of the anchor, and every permutation of S5 and S6), every droop that
+succeeds on S5, every min-droop on S4, every pop step of the pop chains of
+S5, every insertion into S5, every Monk x and m move of S4 and S5, and the
+outcome of trace() on 100,000 seeded grids, most of them malformed.
 
 Each digest is the sha256 of sorted (or, for iter_bpds, visiting-order)
 text lines, one per case, recorded from the code before the droop surgery
@@ -11,7 +11,8 @@ was shared between droop and bpd_min_droop (the S5 and S6 orders: before
 iter_bpds picked its droops by tile; the pop and insert digests:
 before the column move became one tile table; the Monk digests: before the
 cascade followed its pipes instead of tracing the grid; the trace outcomes:
-before one row sweep replaced the pipe walker).  A change to any of them is
+before one row sweep replaced the pipe walker; the builder's grids: before
+it dropped its bitmask of crossed inversions).  A change to any of them is
 a change to the moves' outputs.
 """
 
@@ -27,6 +28,7 @@ from pipedreams import (
     MoveError,
     Permutation,
     enumerate_bpds,
+    enumerate_pipe_dreams,
     symmetric_group,
 )
 from pipedreams.bumpless import bpd_insert, bpd_pop, iter_bpds
@@ -55,6 +57,20 @@ def test_iter_bpds_visits_the_anchor_in_the_same_order():
     grids = itertools.islice(iter_bpds(Permutation.parse("21786534")), 120)
     assert _digest(map(_grid, grids)) == (
         "ea74ebfa84f6809060af47937b3e6f186f274f6a01c1c776e7160a836926f494"
+    )
+
+
+def test_enumerate_bpds_builds_the_same_grids_past_s8():
+    pi = Permutation.parse("13287654")
+    grids = enumerate_bpds(pi)
+    assert len(grids) == len(enumerate_pipe_dreams(pi)) == 9438
+    assert _digest(sorted(map(_grid, grids))) == (
+        "db9d1761cf1b4705a1a92796ea0020efb6ae6d1768491f7a2892c57319f23a50"
+    )
+    grids = enumerate_bpds(Permutation.parse("1,4,3,2,9,8,7,6,5"))
+    assert len(grids) == 130130
+    assert _digest(sorted(map(_grid, grids))) == (
+        "ce589693cc691a4199f6d11e5ea291280fe54caace16e90255c289d2d9fd8e80"
     )
 
 
