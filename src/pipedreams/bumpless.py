@@ -668,7 +668,7 @@ def _build_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
     length = pi.length()
     for up, built in stacks.items():
         for rows in built:
-            if any(up) or sum(r.count(".") for r in rows) != length:
+            if any(up) or "".join(rows).count(".") != length:
                 raise InvariantError(f"the row builder made {rows} for {pi}")
             grid = BumplessPipeDream._of(rows)
             grid._perm = (rows, pi)

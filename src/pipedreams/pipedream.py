@@ -107,6 +107,13 @@ class PipeDream:
             cs.append((r, c))
         self.crosses = frozenset(cs)
 
+    @classmethod
+    def _of(cls, crosses: frozenset[tuple[int, int]]) -> "PipeDream":
+        """The pipe dream of crosses the library built, unchecked."""
+        out = cls.__new__(cls)
+        out.crosses = crosses
+        return out
+
     def sorted_crosses(self) -> list[tuple[int, int]]:
         return sorted(self.crosses, key=grid_key)
 
@@ -128,8 +135,8 @@ class PipeDream:
 
     def weight(self) -> SparsePolynomial:
         rows = [r for r, _ in self.crosses]
-        return SparsePolynomial.monomial(
-            rows.count(i) for i in range(1, max(rows, default=0) + 1)
+        return SparsePolynomial._of(
+            {tuple(rows.count(i) for i in range(1, max(rows, default=0) + 1)): 1}
         )
 
     def to_compatible(self) -> CompatibleSequence:
@@ -148,7 +155,7 @@ class PipeDream:
             raise EmptyDiagramError("cannot pop an empty pipe dream")
         first = self.sorted_crosses()[0]
         r, c = first
-        return (r + c - 1, r), PipeDream(self.crosses - {first})
+        return (r + c - 1, r), PipeDream._of(self.crosses - {first})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PipeDream) and self.crosses == other.crosses
@@ -243,7 +250,7 @@ def iter_pipe_dreams(pi: Permutation) -> Iterator[PipeDream]:
             if where != list(range(n + 1)):
                 word = tuple(b for _, b in read)
                 raise InvariantError(f"walk read {word}, not a reduced word of {pi}")
-            yield PipeDream((i, b - i + 1) for i, b in read)
+            yield PipeDream._of(frozenset([(i, b - i + 1) for i, b in read]))
             continue
         a -= 1
         while a >= r and where[a] < where[a + 1]:

@@ -1,7 +1,8 @@
 """Sparse integer polynomials in x1, x2, ... and Schubert polynomials.
 
-Terms are stored as a dict mapping trimmed exponent tuples to nonzero integer
-coefficients, so ``x1`` is ``{(1,): 1}`` and the zero polynomial is ``{}``.
+Terms are kept in a normal form, a dict mapping exponent tuples without a
+trailing 0 to nonzero integer coefficients: ``x1`` is ``{(1,): 1}`` and 0 is
+``{}``.  The constructor brings any dict to it; the ring ops keep it, via _of.
 Schubert polynomials come from one climb: ascent swaps take pi up in right
 weak order to a dominant permutation u, whose Schubert polynomial is the
 monomial x^code(u) (Macdonald, Notes on Schubert Polynomials, (4.7)), and
@@ -45,6 +46,13 @@ class SparsePolynomial:
         self.terms = clean
 
     @classmethod
+    def _of(cls, terms: dict[tuple[int, ...], int]) -> "SparsePolynomial":
+        """The polynomial of terms, a dict already in normal form, unchecked."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls) -> "SparsePolynomial":
         return cls()
 
@@ -68,13 +76,16 @@ class SparsePolynomial:
         out = dict(self.terms)
         for exp, coef in other.terms.items():
             out[exp] = out.get(exp, 0) + coef
-        return SparsePolynomial(out)
+        return SparsePolynomial._of({e: c for e, c in out.items() if c})
 
     def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial({e: -c for e, c in self.terms.items()})
+        return SparsePolynomial._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        return self + (-other)
+        out = dict(self.terms)
+        for exp, coef in other.terms.items():
+            out[exp] = out.get(exp, 0) - coef
+        return SparsePolynomial._of({e: c for e, c in out.items() if c})
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         out: dict[tuple[int, ...], int] = {}
@@ -82,8 +93,10 @@ class SparsePolynomial:
             for e2, c2 in other.terms.items():
                 # The pairwise sum, then the tail of the longer tuple.
                 e = tuple(map(add, e1, e2)) + e1[len(e2):] + e2[len(e1):]
+                if e and not e[-1]:  # negative exponents can cancel
+                    e = _trim(e)
                 out[e] = out.get(e, 0) + c1 * c2
-        return SparsePolynomial(out)
+        return SparsePolynomial._of({e: c for e, c in out.items() if c})
 
     def swap_vars(self, i: int) -> "SparsePolynomial":
         """Exchange the variables x_i and x_{i+1} in every term."""
@@ -93,8 +106,8 @@ class SparsePolynomial:
         for exp, coef in self.terms.items():
             e = list(exp) + [0] * max(0, i + 1 - len(exp))
             e[i - 1], e[i] = e[i], e[i - 1]
-            out[tuple(e)] = coef
-        return SparsePolynomial(out)
+            out[_trim(tuple(e))] = coef
+        return SparsePolynomial._of(out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -168,12 +181,11 @@ def divided_difference(f: SparsePolynomial, i: int) -> SparsePolynomial:
             q = list(e)
             q[i - 1] = b + d
             q[i] = a - 1 - d
-            key = tuple(q)
+            key = _trim(tuple(q))
             out[key] = out.get(key, 0) + sign * coef
-    result = SparsePolynomial(out)
-    xi = SparsePolynomial.variable(i)
-    xj = SparsePolynomial.variable(i + 1)
-    if result * (xi - xj) != f - f.swap_vars(i):
+    result = SparsePolynomial._of({e: c for e, c in out.items() if c})
+    root = SparsePolynomial._of({(0,) * (i - 1) + (1,): 1, (0,) * i + (1,): -1})
+    if result * root != f - f.swap_vars(i):
         raise InvariantError("divided difference not exact")
     return result
 

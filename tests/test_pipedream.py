@@ -163,6 +163,27 @@ def test_to_compatible_sorts_the_crosses_once(monkeypatch):
         PipeDream([(1, 2), (2, 1)]).to_compatible()
 
 
+def test_enumeration_and_pop_make_no_checked_pipe_dream(monkeypatch):
+    """The diagrams pipedream.py builds from its own crosses skip the check
+    of __init__; only user-given crosses pay for it."""
+    checked = []
+    init = PipeDream.__init__
+
+    def counting_init(self, *args, **kwargs):
+        checked.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PipeDream, "__init__", counting_init)
+    pds = enumerate_pipe_dreams(Permutation.parse("21786534"))
+    assert len(pds) == 1315
+    for d in list(pds)[:50]:
+        while d.crosses:
+            d = d.pop()[1]
+    assert checked == []
+    PipeDream([(1, 1)])
+    assert len(checked) == 1
+
+
 def test_compatible_sequence_validation_errors():
     with pytest.raises(InvalidSequenceError):
         CompatibleSequence((1, 2), (1,)).validate()

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import S3_SCHUBERT
 from pipedreams import (
@@ -328,3 +328,45 @@ def test_divided_difference_checks_against_swap_vars(monkeypatch):
     monkeypatch.setattr(SparsePolynomial, "swap_vars", lambda self, i: self)
     with pytest.raises(InvariantError, match="not exact"):
         divided_difference(x(1), 1)
+
+
+# Keys of length 0 to 3 with negative exponents, trailing zeros and zero
+# coefficients, so every ring op meets terms that must cancel or trim.
+laurent_polys = st.dictionaries(
+    st.lists(st.integers(min_value=-2, max_value=2), max_size=3).map(tuple),
+    st.integers(min_value=-2, max_value=2),
+    max_size=5,
+).map(SparsePolynomial)
+
+
+def _is_normal(p):
+    return p.terms == SparsePolynomial(dict(p.terms)).terms
+
+
+@settings(max_examples=200)
+@given(laurent_polys, laurent_polys, st.integers(min_value=1, max_value=4))
+@example(SparsePolynomial({(0, 1): 1}), SparsePolynomial({(0, -1): 1}), 1)
+@example(SparsePolynomial({(2,): 1, (0, 2): 1}), SparsePolynomial(), 1)
+def test_ring_ops_return_the_normal_form(p, q, i):
+    """The ring ops build their results unchecked, so each must already be
+    what the constructor would make of it: x2 * x2^-1 trims to 1, and the
+    quotient terms of the symmetric x1^2 + x2^2 cancel."""
+    for r in (p + q, p - q, -p, p * q, p.swap_vars(i), divided_difference(p, i)):
+        assert _is_normal(r)
+    assert p - q == p + (-q)
+
+
+def test_schubert_polynomial_makes_one_checked_polynomial(monkeypatch):
+    """Only the monomial start goes through __init__; every divided
+    difference and its exactness check build their polynomials unchecked."""
+    checked = []
+    init = SparsePolynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        checked.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparsePolynomial, "__init__", counting_init)
+    s = schubert_polynomial(Permutation.parse("21786534"))
+    assert len(checked) == 1
+    assert len(s.terms) == 683
