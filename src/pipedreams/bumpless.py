@@ -42,28 +42,27 @@ _LETTERS = frozenset(_MASK)
 
 
 def _sweep(rows: tuple[str, ...]) -> tuple:
-    """Read every pipe of rows in one pass, bottom row first and each row
-    from the west.  Pipes run only north and east, so the pipes on a tile's
-    S and W edges are known before it is read: up[j - 1] on the S edge in
-    column j, carry on the W edge.  Pipe k enters column k from the south.
-    rows may be the bottom rows of a grid, numbered from 1 at the top of
-    rows.
+    """Read every pipe of rows in one pass, bottom row first and each row from
+    the west.  Pipes run only north and east, so the pipes on a tile's S and W
+    edges are known before it is read: up[j - 1] on the S edge in column j,
+    carry on the W edge.  Pipe k enters column k from the south.  rows may be
+    the bottom rows of a grid, numbered from 1 at the top of rows.
 
-    Returns (word, pairs, up): word[i - 1] is the pipe leaving through
-    row i, pairs maps each pair of pipes to the tiles where they cross, in
-    sweep order, and up[j - 1] is the pipe leaving the top row through
-    column j (None for every column of a whole grid).  Bump tiles are read,
-    not rejected.
+    Returns (word, pairs, up): word[i - 1] is the pipe leaving through row i,
+    pairs maps each pair of pipes to the tiles where they cross, top down, and
+    up[j - 1] is the pipe leaving the top row through column j (None for every
+    column of a whole grid).  Each cross is prepended: a pair crosses once a
+    row at most, as one of its pipes leaves north there.
 
-    Raises InvalidDiagramError where a tile's S or W edge does not match the
-    pipes that reach it, or a row ends with no pipe leaving east.  No other
-    edge needs a check on a whole grid: N and E edges are the next tiles' S
-    and W, and as no tile copies or drops a pipe, n rows that each pass one
-    pipe east pass all n, so up is empty after the top row.
+    Raises InvalidDiagramError at a bump, at a tile whose S or W edge does not
+    match the pipes that reach it, or at a row that ends with no pipe leaving
+    east.  No other edge needs a check on a whole grid: N and E edges are the
+    next tiles' S and W, and as no tile copies or drops a pipe, n rows that
+    each pass one pipe east pass all n, so up is empty after the top row.
     """
     up: list[Optional[int]] = list(range(1, len(rows[0]) + 1))
     word = [0] * len(rows)
-    pairs: dict[frozenset[int], list[tuple[int, int]]] = {}
+    pairs: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
     for i in range(len(rows), 0, -1):
         carry = None
         for j, t in enumerate(rows[i - 1], 1):
@@ -76,10 +75,12 @@ def _sweep(rows: tuple[str, ...]) -> tuple:
                     f"tile {t!r} at {(i, j)} does not meet the pipes reaching it"
                 )
             if t == "+":
-                pairs.setdefault(frozenset((south, carry)), []).append((i, j))
+                pair = frozenset((south, carry))
+                pairs[pair] = ((i, j),) + pairs.get(pair, ())
             elif t in "rjb":
-                # A turn moves its one pipe between the S and W edges' slots;
-                # a bump swaps its two.
+                if t == "b":
+                    raise InvalidDiagramError(f"bump tile at {(i, j)}")
+                # A turn moves its one pipe between the S and W edges' slots.
                 up[j - 1], carry = carry, south
         if carry is None:
             raise InvalidDiagramError(f"no pipe leaves at row {i}")
@@ -91,7 +92,7 @@ def _diagnose(rows: tuple[str, ...]) -> None:
     """Raise InvalidDiagramError naming the first failure of rows, in a
     fixed order: a bump tile, the borders, then the interior edges.  Each
     check reads the edge masks of the tiles; the checks together reject
-    exactly the grids with a bump or that _sweep rejects."""
+    exactly the grids that _sweep rejects."""
     n = len(rows)
     for i, row in enumerate(rows, 1):
         if "b" in row:
@@ -354,18 +355,16 @@ class BumplessPipeDream:
     def trace(self) -> BpdTrace:
         """Read every pipe; raises InvalidDiagramError on malformed grids.
 
-        One row sweep accepts or rejects the grid.  Only a grid it rejects,
-        or one holding a bump tile, is handed to _diagnose, which names
-        the first failure."""
+        One row sweep accepts or rejects the grid, and its crossings are
+        the trace's.  Only a grid it rejects is handed to _diagnose, which
+        names the first failure."""
         rows = self.rows
-        if not any("b" in row for row in rows):
-            try:
-                word, pairs, _ = _sweep(rows)
-            except InvalidDiagramError:
-                pass
-            else:
-                pairs = {p: tuple(sorted(v)) for p, v in pairs.items()}
-                return BpdTrace(Permutation._of(word), pairs)
+        try:
+            word, pairs, _ = _sweep(rows)
+        except InvalidDiagramError:
+            pass
+        else:
+            return BpdTrace(Permutation._of(word), pairs)
         _diagnose(rows)
         raise InvariantError(f"the sweep rejects {rows} but no check names a fault")
 
@@ -591,8 +590,9 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
     try:
         # The pop's output check reads diagram's permutation when the pop
         # lands back on diagram's rows, so the round trip traces cur alone.
+        # cur holds the blank the recross opened: it is never the identity.
         check = _pop(cur, diagram)
-    except (InvalidDiagramError, EmptyDiagramError):
+    except InvalidDiagramError:
         return None
     if (check.a, check.r) == (a, r) and check.result == diagram:
         return cur.trim()

@@ -31,9 +31,9 @@ _MAX_COORD = 64
 # and schubert of one of size 10 takes about 3.5 s; both sizes are refused.
 _MAX_ENUM_SIZE = 8
 _MAX_SCHUBERT_SIZE = 9
-# verify of group 6 takes 62-96 s at about 116 MB peak RSS under -O on a
-# shared 2-vCPU host, and CI runs it on every push; group 7, with seven
-# times the permutations, was never run, so it is refused.
+# verify of group 6 takes 62-63 s at about 111 MB peak RSS under -O on a
+# shared 2-vCPU host, and CI runs it on every push; of group 7, with seven
+# times the permutations, only poly runs, weekly, so the CLI refuses it.
 _MAX_GROUP = 6
 # The JSON encoder yields one chunk per token; _emit joins them into writes
 # of at most this many characters.

@@ -205,21 +205,20 @@ def trace_pipes(crosses: Iterable[tuple[int, int]]) -> PipeDreamTrace:
     pipe at position p; the cross of letter a is where the pipes then at
     positions a and a+1 meet and swap.  Works for non-reduced sets too;
     pair_crossings records where each pair of pipes crosses, so double
-    crossings are visible to callers.
+    crossings are visible to callers.  Each pair's crosses come in walk
+    order, which is row order: after the swap at letter a, only the pipe
+    now at a moves again in that row, so a pair meets once a row at most.
     """
     ordered = sorted(frozenset(crosses), key=grid_key)
     at = list(range(max((r + c for r, c in ordered), default=1) + 1))
     cross_pipes: dict[tuple[int, int], frozenset[int]] = {}
-    pair_crossings: dict[frozenset[int], list[tuple[int, int]]] = {}
+    pair_crossings: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
     for r, c in ordered:
         a = r + c - 1
         pair = cross_pipes[(r, c)] = frozenset((at[a], at[a + 1]))
-        pair_crossings.setdefault(pair, []).append((r, c))
+        pair_crossings[pair] = pair_crossings.get(pair, ()) + ((r, c),)
         at[a], at[a + 1] = at[a + 1], at[a]
-    return PipeDreamTrace(
-        cross_pipes,
-        {pair: tuple(sorted(ps)) for pair, ps in pair_crossings.items()},
-    )
+    return PipeDreamTrace(cross_pipes, pair_crossings)
 
 
 def iter_pipe_dreams(pi: Permutation) -> Iterator[PipeDream]:
