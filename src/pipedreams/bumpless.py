@@ -566,12 +566,19 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
         return None
     rows = diagram.grow_to(max(diagram.n, a + 1)).rows
     x, x2 = _first_turn(rows, a), _first_turn(rows, a + 1)
+    # Each strip below reads a reduced grid and leaves one, so it never
+    # gives None and the round trip's validate() passes.  A column move
+    # keeps the strip's outer edges, each pipe's way through it and each
+    # pair's crossings in it; the recross swaps how pipes a and a+1 go on
+    # and adds their one crossing.  As the state says whether column col+1
+    # carries a pipe between two rows, _REVERSE lacks only a top "r+", and
+    # that '+' pipe came into column col+1 across the run: it crosses twice.
     # Recross pipes a and a+1 at (x2, a+1), opening the blank at (x, a).
     rows = _move_strip(rows, x, x2, a, "cross", _REVERSE)
     bx, by = x, a
     # Each pass moves by at least one column west, and by - 1 < 1 gives None.
     while True:
-        if rows is None or bx < r:
+        if bx < r:
             return None
         if bx == r:
             break
@@ -586,14 +593,11 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
             x0 -= 1
         rows = _move_strip(rows, x0, bx, by - 1, "last", _REVERSE)
         bx, by = x0, by - 1
+    # The pop's output check reads diagram's permutation when the pop lands
+    # back on diagram's rows, so the round trip traces cur alone.  cur holds
+    # the blank the recross opened: it is never the identity.
     cur = BumplessPipeDream._of(rows)
-    try:
-        # The pop's output check reads diagram's permutation when the pop
-        # lands back on diagram's rows, so the round trip traces cur alone.
-        # cur holds the blank the recross opened: it is never the identity.
-        check = _pop(cur, diagram)
-    except InvalidDiagramError:
-        return None
+    check = _pop(cur, diagram)
     if (check.a, check.r) == (a, r) and check.result == diagram:
         return cur.trim()
     return None

@@ -407,8 +407,12 @@ def test_lemma_case_audit_rejects_what_it_cannot_audit(model):
         lemma_case_audit(d, ("m", 1, 3))
     with pytest.raises(ValueError, match="cannot pop"):
         lemma_case_audit(identity, ("x", 1))
-    with pytest.raises(ValueError, match="unknown move"):
-        lemma_case_audit(d, ("y", 1))
+    malformed = (
+        ("y", 1), ("x",), ("x", 1, 2), ("m", 1), ("x", "1"), ("x", True), ["x", 1]
+    )
+    for move in malformed:
+        with pytest.raises(ValueError, match="unknown move"):
+            lemma_case_audit(d, move)
 
 
 def test_result_l_is_the_cover_step():

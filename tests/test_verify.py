@@ -597,25 +597,42 @@ def _first_generic_audit(audit, kind, m_calls):
     raise AssertionError(f"no {kind}-generic audit with a follow-up m move")
 
 
-def test_m_generic_audit_skips_only_the_m_move_on_the_popped_diagram(refusing):
+def test_m_generic_audit_raises_where_the_m_move_on_the_popped_diagram_refuses(refusing):
     d, move = _first_generic_audit(refusing, "m", 3)
-    report = refusing(d, move, m=2)
-    assert (report.case, report.checks) == (
-        "m-generic",
-        [("m-on-popped", "skip", "refused")],
-    )
-    with pytest.raises(ValueError, match="refused"):
-        refusing(d, move, m=3)
+    # The second m move is the move on the popped diagram, the third the
+    # follow-up one; the lemma says both apply, so neither refusal passes.
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="refused"):
+            refusing(d, move, m=k)
 
 
-def test_x_generic_audit_skips_only_the_follow_up_nabla_clause(refusing):
+def test_x_generic_audit_raises_where_its_follow_up_m_move_refuses(refusing):
     d, move = _first_generic_audit(refusing, "x", 1)
-    report = refusing(d, move, m=1)
-    assert report.case == "x-generic"
-    assert [c[0] for c in report.checks] == ["pop", "nabla"]
-    assert report.checks[1] == ("nabla", "skip", "refused")
+    with pytest.raises(ValueError, match="refused"):
+        refusing(d, move, m=1)
     with pytest.raises(ValueError, match="refused"):
         refusing(d, move, x=2)
+
+
+def test_a_refused_m_move_on_the_popped_diagram_fails_the_lemmas_check(monkeypatch):
+    # Each m audit refuses its own move on the diagram its pop leaves.
+    refused = [None]
+    real_audit, real_move = verify.Atlas.audit, verify.Atlas.move
+
+    def audit(self, diagram, move):
+        refused[0] = (self.pop(diagram)[2], move) if move[0] == "m" else None
+        return real_audit(self, diagram, move)
+
+    def move(self, diagram, move):
+        if refused[0] == (diagram, move):
+            raise MoveError("refused on the popped diagram")
+        return real_move(self, diagram, move)
+
+    monkeypatch.setattr(verify.Atlas, "audit", audit)
+    monkeypatch.setattr(verify.Atlas, "move", move)
+    assert verify.run_checks(4, "lemmas") == {
+        "lemmas": (False, "raised MoveError: refused on the popped diagram"),
+    }
 
 
 def test_bruhat_covers_are_the_bruhat_covers_below_the_bound():
