@@ -10,7 +10,9 @@ west-to-north) that appears only in intermediate states of insertion moves.
 
 Pipe k enters the south border at the bottom of column k heading north and
 leaves through the east border; the diagram's permutation sends the exit row
-of pipe k back to k.  Tiles are addressed (row, col), 1-indexed.
+of pipe k back to k.  Tiles are addressed (row, col), 1-indexed.  One row
+sweep, _sweep, reads every grid: it alone accepts or rejects a grid, and its
+message words the rejection.
 
 Two enumerators give the same set.  enumerate_bpds builds the grids a row
 at a time from their pipes alone, sharing each row among the grids on it,
@@ -86,40 +88,6 @@ def _sweep(rows: tuple[str, ...]) -> tuple:
             raise InvalidDiagramError(f"no pipe leaves at row {i}")
         word[i - 1] = carry
     return word, pairs, up
-
-
-def _diagnose(rows: tuple[str, ...]) -> None:
-    """Raise InvalidDiagramError naming the first failure of rows, in a
-    fixed order: a bump tile, the borders, then the interior edges.  Each
-    check reads the edge masks of the tiles; the checks together reject
-    exactly the grids that _sweep rejects."""
-    n = len(rows)
-    for i, row in enumerate(rows, 1):
-        if "b" in row:
-            raise InvalidDiagramError(f"bump tile at {(i, row.index('b') + 1)}")
-    masks = [[_MASK[ch] for ch in row] for row in rows]
-    # Border consistency: no segment may poke through the north or west
-    # border, and every south and east border edge must carry a pipe.
-    for j in range(1, n + 1):
-        if masks[0][j - 1] & _N:
-            raise InvalidDiagramError(f"segment exits the top at column {j}")
-        if not masks[-1][j - 1] & _S:
-            raise InvalidDiagramError(f"no pipe enters at column {j}")
-    for i in range(1, n + 1):
-        if masks[i - 1][0] & _W:
-            raise InvalidDiagramError(f"segment exits the left at row {i}")
-        if not masks[i - 1][-1] & _E:
-            raise InvalidDiagramError(f"no pipe leaves at row {i}")
-    # Interior edge matching: the E edge of every tile against the W edge
-    # of its east neighbour, then the S edge against the N edge below.
-    for di, dj, near, far in ((0, 1, _E, _W), (1, 0, _S, _N)):
-        for i in range(1, n + 1 - di):
-            here, there = masks[i - 1], masks[i - 1 + di]
-            for j in range(1, n + 1 - dj):
-                if bool(here[j - 1] & near) != bool(there[j - 1 + dj] & far):
-                    raise InvalidDiagramError(
-                        f"mismatched edge between {(i, j)} and {(i + di, j + dj)}"
-                    )
 
 
 # How a droop of the turn at (a, b) to (c, d) rewrites the border of the
@@ -353,20 +321,13 @@ class BumplessPipeDream:
         return SparsePolynomial.monomial(row.count(".") for row in self.rows)
 
     def trace(self) -> BpdTrace:
-        """Read every pipe; raises InvalidDiagramError on malformed grids.
+        """Read every pipe in one row sweep, whose crossings are the trace's.
 
-        One row sweep accepts or rejects the grid, and its crossings are
-        the trace's.  Only a grid it rejects is handed to _diagnose, which
-        names the first failure."""
-        rows = self.rows
-        try:
-            word, pairs, _ = _sweep(rows)
-        except InvalidDiagramError:
-            pass
-        else:
-            return BpdTrace(Permutation._of(word), pairs)
-        _diagnose(rows)
-        raise InvariantError(f"the sweep rejects {rows} but no check names a fault")
+        Raises InvalidDiagramError on a malformed grid, with the sweep's
+        message: the tile and position where it stopped, or the row that
+        no pipe leaves."""
+        word, pairs, _ = _sweep(self.rows)
+        return BpdTrace(Permutation._of(word), pairs)
 
     def validate(self) -> Permutation:
         """Check well-formedness and return the permutation of the diagram.
@@ -609,7 +570,7 @@ def iter_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
     Each turn tries the blanks where droop() finds its '|' and '-'.  Use it
     for the droop order, which is pinned, or a lazy prefix; enumerate_bpds
     builds the whole set several times faster without a droop or a trace."""
-    start = BumplessPipeDream.rothe(pi, max(pi.size, 1))
+    start = BumplessPipeDream.rothe(pi)
     seen = {start.rows}
     queue = [start]
     while queue:

@@ -189,10 +189,16 @@ def _cmd_verify(args):
         raise ValueError(
             f"the group size {args.group} exceeds the bound {_MAX_GROUP}"
         )
-    results = run_checks(args.group, args.check, seed=args.seed)
+    return _verify_payload(args.group, args.check, args.seed)
+
+
+def _verify_payload(n: int, check: str, seed=None) -> dict:
+    """The JSON payload of verify for run_checks(n, check, seed); the S7
+    workflow calls it past the cap on n."""
+    results = run_checks(n, check, seed=seed)
     return {
-        "group": args.group,
-        "check": args.check,
+        "group": n,
+        "check": check,
         "results": {
             name: {"passed": ok, "detail": detail}
             for name, (ok, detail) in results.items()

@@ -240,7 +240,7 @@ def _pd_shift(
     """
     i, j = pos
     crosses.discard(pos)
-    if PipeDream(crosses).perm() != base:
+    if PipeDream._of(frozenset(crosses)).perm() != base:
         raise InvariantError(
             f"removing the cross at {pos} lost the base permutation {base}"
         )
@@ -274,7 +274,7 @@ def _pd_cascade(
         tr = trace_pipes(crosses)
         positions = tr.pair_crossings[tr.cross_pipes[last_added]]
         if len(positions) == 1:
-            return PipeDream(crosses), steps, tuple(complete)
+            return PipeDream._of(frozenset(crosses)), steps, tuple(complete)
         if len(positions) != 2:
             raise InvariantError(f"pair crosses thrice: {positions}")
         older = next(p for p in positions if p != last_added)

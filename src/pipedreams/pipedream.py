@@ -42,6 +42,8 @@ class CompatibleSequence:
 
     def validate(self) -> "CompatibleSequence":
         a, r = self.a, self.r
+        if any(type(v) is not int for v in a + r):
+            raise InvalidSequenceError("entries must be integers")
         if len(a) != len(r):
             raise InvalidSequenceError("a and r differ in length")
         if any(v < 1 for v in a) or any(v < 1 for v in r):
@@ -65,8 +67,8 @@ class CompatibleSequence:
 
     def to_pipe_dream(self) -> "PipeDream":
         self.validate()
-        return PipeDream(
-            (rk, ak - rk + 1) for ak, rk in zip(self.a, self.r)
+        return PipeDream._of(
+            frozenset([(rk, ak - rk + 1) for ak, rk in zip(self.a, self.r)])
         )
 
     def __eq__(self, other) -> bool:

@@ -268,13 +268,6 @@ def _moves_at(pi: Permutation, n: int):
         yield pi.right_t(s, beta), ("m", s, beta), f"({s},{beta})"
 
 
-def _moves(n: int):
-    """(pi, base, move, label) for each Monk move the checks make over S_n."""
-    for pi in symmetric_group(n):
-        for base, move, label in _moves_at(pi, n):
-            yield pi, base, move, label
-
-
 def verify_monk_poly(pi: Permutation, alpha: int) -> bool:
     """x_alpha * S_pi + sum of lower cover terms equals the upper cover sum."""
     return Atlas().monk_identity(pi, alpha)

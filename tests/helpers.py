@@ -4,10 +4,14 @@ Everything here is deliberately written from scratch against the tile
 definitions, without reusing the library's tracing, enumeration, or
 polynomial code, so that agreement between the two is evidence rather
 than tautology.  Only the plain data containers (tuples, dicts) are
-shared with the library.
+shared with the library, and verify_moves, which lists the Monk moves that
+the library's checks make so that tests can make the same ones.
 """
 
 from itertools import combinations
+
+from pipedreams import symmetric_group
+from pipedreams.verify import _moves_at
 
 # Total number of n x n grids over the six bumpless tiles with closed
 # north/west borders and fully used south/east borders.  These equal the
@@ -135,6 +139,31 @@ def _row_fills(n, north):
     return results
 
 
+def legal_grid(rows):
+    """Whether rows tile a square grid legally, read off the edges of each
+    tile: every tile is one of the six letters (a bump is not), no edge
+    crosses the north or west border, a pipe crosses every edge of the south
+    and east borders, and each interior edge is used by both tiles on it or
+    by neither."""
+    if any(t not in _TILE_EDGES for row in rows for t in row):
+        return False
+    edges = [[_TILE_EDGES[t] for t in row] for row in rows]
+    n = len(rows)
+    for k in range(n):
+        if edges[0][k][0] or not edges[-1][k][2]:
+            return False
+        if edges[k][0][3] or not edges[k][-1][1]:
+            return False
+    for i in range(n):
+        for j in range(n):
+            _, east, south, _ = edges[i][j]
+            if j + 1 < n and east != edges[i][j + 1][3]:
+                return False
+            if i + 1 < n and south != edges[i + 1][j][0]:
+                return False
+    return True
+
+
 def brute_grids(n):
     """All legal n x n grids over the six tiles."""
     frontier = [((), (0,) * n)]
@@ -230,6 +259,14 @@ def brute_bpds(n):
         )
         grouped.setdefault(trim_word(one_line), set()).add(trim_grid(rows))
     return grouped
+
+
+def verify_moves(n):
+    """(pi, base, move, label) for each Monk move the checks of verify make
+    over S_n."""
+    for pi in symmetric_group(n):
+        for base, move, label in _moves_at(pi, n):
+            yield pi, base, move, label
 
 
 # Schubert polynomials of S_3, exponent tuple -> coefficient.

@@ -11,7 +11,14 @@ import pytest
 
 import pipedreams
 
-from helpers import brute_bpds, brute_grids, trace_grid, trim_grid
+from helpers import (
+    brute_bpds,
+    brute_grids,
+    legal_grid,
+    trace_grid,
+    trim_grid,
+    verify_moves,
+)
 from pipedreams import (
     BumplessPipeDream,
     EmptyDiagramError,
@@ -32,7 +39,7 @@ from pipedreams import (
 from pipedreams import bumpless, monk
 from pipedreams.bumpless import _sweep, iter_bpds
 from pipedreams.poly import SparsePolynomial
-from pipedreams.verify import MODELS, _moves
+from pipedreams.verify import MODELS
 
 ORACLE_4 = brute_bpds(4)
 ORACLE_5 = brute_bpds(5)
@@ -129,18 +136,19 @@ def test_trace_matches_oracle(n):
         assert_trace_matches_oracle(rows)
 
 
-# One grid per rejection branch that a grid can reach.  A blank count off
-# the crossing pairs is a guard that raises InvariantError: in a grid that
-# passes the border and edge checks without a double crossing, blanks equal
-# crosses, which equal crossing pairs.
+# One grid per kind of fault in a tiling, each with the message of the sweep
+# that rejects it: the tile and position where it stopped, or the row that
+# no pipe leaves.  A blank count off the crossing pairs is a guard that
+# raises InvariantError: in a grid that the sweep accepts with no double
+# crossing, blanks equal crosses, which equal crossing pairs.
 REJECTIONS = [
     ((".r", "rb"), "bump tile at (2, 2)"),
-    (("|",), "segment exits the top at column 1"),
-    (("-",), "no pipe enters at column 1"),
-    (("--", "++"), "segment exits the left at row 1"),
-    (("r.", "||"), "no pipe leaves at row 1"),
-    (("rr", "rr"), "mismatched edge between (1, 1) and (1, 2)"),
-    ((".r", "|r"), "mismatched edge between (1, 1) and (2, 1)"),
+    (("|",), "no pipe leaves at row 1"),
+    (("-",), "tile '-' at (1, 1) does not meet the pipes reaching it"),
+    (("--", "++"), "tile '+' at (2, 1) does not meet the pipes reaching it"),
+    (("r.", "||"), "no pipe leaves at row 2"),
+    (("rr", "rr"), "tile 'r' at (2, 2) does not meet the pipes reaching it"),
+    ((".r", "|r"), "tile '.' at (1, 1) does not meet the pipes reaching it"),
     (
         ("..r-", ".r+-", "r+jr", "||r+"),
         "pipes [1, 2] cross twice at ((2, 3), (3, 2))",
@@ -155,52 +163,40 @@ def test_validate_rejection_messages(rows, message):
     assert str(excinfo.value) == message
 
 
-@pytest.fixture
-def diagnosed(monkeypatch):
-    """The rows of every grid bumpless._diagnose is called on."""
-    calls = []
-    real = bumpless._diagnose
+def test_the_sweep_rejects_exactly_the_illegal_grids_of_size_1_and_2():
+    # Every grid of size 1 and 2 over the seven letters; the legal ones are
+    # the 1 + 2 that helpers.brute_grids lists.
+    grids = [
+        tuple("".join(row) for row in zip(*[iter(tiles)] * n))
+        for n in (1, 2)
+        for tiles in itertools.product(".|-rj+b", repeat=n * n)
+    ]
+    legal = []
+    for rows in grids:
+        try:
+            BumplessPipeDream(rows).trace()
+        except InvalidDiagramError:
+            assert not legal_grid(rows), rows
+        else:
+            assert legal_grid(rows), rows
+            legal.append(rows)
+    assert len(grids) == 2408
+    assert sorted(legal) == sorted(brute_grids(1) + brute_grids(2))
 
-    def counting(rows):
-        calls.append(rows)
-        return real(rows)
 
-    monkeypatch.setattr(bumpless, "_diagnose", counting)
-    return calls
-
-
-def test_the_sweep_alone_decides_every_grid_of_s5(diagnosed):
+def test_the_sweep_alone_decides_every_grid_of_s5():
     for pi in symmetric_group(5):
         for d in enumerate_bpds(pi):
             assert BumplessPipeDream(d.rows).validate() == pi
-    assert diagnosed == []
 
 
-def test_phi_and_phi_inverse_diagnose_no_grid(diagnosed):
+def test_phi_and_phi_inverse_diagnose_no_grid():
     pi = Permutation.parse("2153746")
     for b in enumerate_bpds(pi):
         d = BumplessPipeDream(b.rows)
         assert phi_inverse(phi(d).pipe_dream()) == d
     for d in enumerate_pipe_dreams(pi):
         assert phi(phi_inverse(d)).pipe_dream() == d
-    assert diagnosed == []
-
-
-@pytest.mark.parametrize("rows, message", REJECTIONS)
-def test_each_rejection_is_diagnosed_once(rows, message, diagnosed):
-    # A double crossing passes the sweep; validate() rejects it after.
-    with pytest.raises(InvalidDiagramError):
-        BumplessPipeDream(rows).validate()
-    assert diagnosed == ([] if "cross twice" in message else [rows])
-
-
-def test_a_sweep_rejecting_a_legal_grid_is_an_invariant_error(monkeypatch):
-    def rejecting(rows):
-        raise InvalidDiagramError("rejected")
-
-    monkeypatch.setattr(bumpless, "_sweep", rejecting)
-    with pytest.raises(InvariantError):
-        BumplessPipeDream.identity(3).trace()
 
 
 def test_a_blank_count_off_the_crossing_pairs_is_an_invariant_error(monkeypatch):
@@ -330,7 +326,7 @@ def test_phi_traces_each_grid_of_the_pop_chain_once(traced):
 def test_every_bumpless_move_of_s4_traces_only_its_input_and_output(traced):
     # The cascade follows single pipes; only the frame validates, the input
     # (unless its permutation is kept) and the output.
-    for _, base, move, _ in _moves(4):
+    for _, base, move, _ in verify_moves(4):
         for b in enumerate_bpds(base):
             d = BumplessPipeDream(b.rows)
             traced.clear()
@@ -360,7 +356,7 @@ def test_internal_grids_skip_the_checked_constructor(constructed):
     # through BumplessPipeDream._of; only the caller's grids were checked.
     pi = Permutation.parse("2153746")
     diagrams = enumerate_pipe_dreams(pi)
-    moves = [(move, enumerate_bpds(base)) for _, base, move, _ in _moves(4)]
+    moves = [(move, enumerate_bpds(base)) for _, base, move, _ in verify_moves(4)]
     constructed.clear()
     for d in diagrams:
         phi_inverse(d)
@@ -448,25 +444,22 @@ def test_sweep_matches_oracle_on_the_bump_grids_of_the_s4_cascades(monkeypatch):
         return out, corner
 
     monkeypatch.setattr(monk, "bpd_min_droop", recording)
-    for _, base, move, _ in _moves(4):
+    for _, base, move, _ in verify_moves(4):
         for d in enumerate_bpds(base):
             MODELS["bpd"].apply(d, move)
     assert len(grids) == 423
     # The sweep reads finished grids only: it stops at the first bump it
-    # reads, and trace() names the first bump in reading order.  Below the
-    # lowest bump, the sweeps of the bottom rows still match the oracle.
+    # reads, the lowest, and trace() gives its message.  Below the lowest
+    # bump, the sweeps of the bottom rows still match the oracle.
     partial = 0
     for rows in sorted(grids):
         n = len(rows)
         bumps = [
             (i, row.index("b") + 1) for i, row in enumerate(rows, 1) if "b" in row
         ]
-        with pytest.raises(InvalidDiagramError) as swept:
-            _sweep(rows)
-        assert str(swept.value) == f"bump tile at {bumps[-1]}", rows
         with pytest.raises(InvalidDiagramError) as traced:
             BumplessPipeDream(rows).trace()
-        assert str(traced.value) == f"bump tile at {bumps[0]}", rows
+        assert str(traced.value) == f"bump tile at {bumps[-1]}", rows
         entered = {}
         exit_rows = trace_grid(rows, entered)[0]
         word = sorted(exit_rows, key=exit_rows.get)

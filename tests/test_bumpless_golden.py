@@ -11,9 +11,9 @@ was shared between droop and bpd_min_droop (the S5 and S6 orders: before
 iter_bpds picked its droops by tile; the pop and insert digests:
 before the column move became one tile table; the Monk digests: before the
 cascade followed its pipes instead of tracing the grid; the trace outcomes:
-before one row sweep replaced the pipe walker; the builder's grids: before
-it dropped its bitmask of crossed inversions).  A change to any of them is
-a change to the moves' outputs.
+after the row sweep's message became every rejection's, a change of wording
+only; the builder's grids: before it dropped its bitmask of crossed
+inversions).  A change to any of them is a change to the moves' outputs.
 """
 
 import hashlib
@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from helpers import legal_grid, verify_moves
 from pipedreams import (
     BumplessPipeDream,
     InvalidDiagramError,
@@ -33,7 +34,7 @@ from pipedreams import (
 )
 from pipedreams.bumpless import bpd_insert, bpd_pop, iter_bpds
 from pipedreams.monk import bpd_min_droop
-from pipedreams.verify import MODELS, _moves
+from pipedreams.verify import MODELS
 
 
 def _digest(lines):
@@ -163,7 +164,7 @@ def test_insert_every_letter_and_row_into_s5():
 )
 def test_every_monk_move_of_the_verify_harness(n, count, digest):
     lines, bases = [], {}
-    for _, base, move, _ in _moves(n):
+    for _, base, move, _ in verify_moves(n):
         if base not in bases:
             bases[base] = sorted(enumerate_bpds(base), key=lambda b: b.rows)
         for b in bases[base]:
@@ -208,13 +209,17 @@ def _mutated_grids(count, seed):
 
 
 def test_trace_outcomes_of_mutated_grids():
-    lines = [
-        f"{' '.join(rows)} {_trace_outcome(rows)}"
-        for rows in _mutated_grids(100_000, seed=12)
-    ]
+    # trace() rejects exactly the grids that the edge masks of
+    # helpers.legal_grid reject, and only with InvalidDiagramError.
+    lines = []
+    for rows in _mutated_grids(100_000, seed=12):
+        outcome = _trace_outcome(rows)
+        rejected = outcome.startswith("InvalidDiagramError: ")
+        assert rejected != legal_grid(rows), (rows, outcome)
+        lines.append(f"{' '.join(rows)} {outcome}")
     assert sum("Error: " not in line for line in lines) == 5759
     assert _digest(lines) == (
-        "502b9e8a0dbcb269059eb69f6de99f8a227db856997884b86e7fe3a7c6ef7940"
+        "0eed50727bbffe6d59b0db850f9d0a3924bcdacc3decb6c449d72a5c213d9345"
     )
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from helpers import verify_moves
 from pipedreams import (
     BumplessPipeDream,
     InvalidDiagramError,
@@ -32,7 +33,7 @@ from pipedreams import (
 )
 from pipedreams import monk
 from pipedreams.bumpless import iter_bpds
-from pipedreams.verify import MODELS, _moves
+from pipedreams.verify import MODELS
 
 
 def covers_of(pi, bound):
@@ -163,7 +164,7 @@ def test_a_j_corner_sweeps_the_rows_from_the_corner_down(monkeypatch):
 
     monkeypatch.setattr(monk, "bpd_min_droop", drooping)
     monkeypatch.setattr(monk, "_sweep", sweeping)
-    for _, base, move, _ in _moves(4):
+    for _, base, move, _ in verify_moves(4):
         for d in enumerate_bpds(base):
             MODELS["bpd"].apply(d, move)
     corners = 0
@@ -285,7 +286,7 @@ def test_every_pd_monk_move_of_the_verify_harness(n, count, digest):
     # sha256 of the sorted lines, recorded before the cover check read
     # positions instead of lengths.
     lines, bases = [], {}
-    for _, base, move, _ in _moves(n):
+    for _, base, move, _ in verify_moves(n):
         if base not in bases:
             bases[base] = sorted(
                 sorted(d.crosses) for d in enumerate_pipe_dreams(base)

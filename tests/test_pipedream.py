@@ -11,6 +11,7 @@ from helpers import (
     apply_word,
     brute_pipe_dreams,
     staircase_cells,
+    verify_moves,
     walk_pipe_dream,
     word_of,
 )
@@ -22,8 +23,10 @@ from pipedreams import (
     Permutation,
     PipeDream,
     SparsePolynomial,
+    enumerate_bpds,
     enumerate_pipe_dreams,
     iter_pipe_dreams,
+    phi,
     schubert_polynomial,
     symmetric_group,
     trace_pipes,
@@ -31,6 +34,7 @@ from pipedreams import (
 from pipedreams import pipedream
 from pipedreams.perm import multiply_word
 from pipedreams.render import render_pipe_dream
+from pipedreams.verify import MODELS
 
 ORACLE_4 = brute_pipe_dreams(4)
 
@@ -164,8 +168,9 @@ def test_to_compatible_sorts_the_crosses_once(monkeypatch):
 
 
 def test_enumeration_and_pop_make_no_checked_pipe_dream(monkeypatch):
-    """The diagrams pipedream.py builds from its own crosses skip the check
-    of __init__; only user-given crosses pay for it."""
+    """The diagrams the library builds from its own crosses, by enumeration,
+    pops, Monk moves and phi, skip the check of __init__; only user-given
+    crosses pay for it."""
     checked = []
     init = PipeDream.__init__
 
@@ -179,6 +184,15 @@ def test_enumeration_and_pop_make_no_checked_pipe_dream(monkeypatch):
     for d in list(pds)[:50]:
         while d.crosses:
             d = d.pop()[1]
+    moves = 0
+    for _, base, move, _ in verify_moves(4):
+        for d in enumerate_pipe_dreams(base):
+            MODELS["pd"].apply(d, move)
+            moves += 1
+    images = [
+        phi(b).pipe_dream() for pi in symmetric_group(4) for b in enumerate_bpds(pi)
+    ]
+    assert (moves, len(images)) == (421, 41)
     assert checked == []
     PipeDream([(1, 1)])
     assert len(checked) == 1
@@ -198,6 +212,15 @@ def test_compatible_sequence_validation_errors():
         CompatibleSequence((1, 2), (1, 1)).validate()
     with pytest.raises(InvalidSequenceError):
         CompatibleSequence((0,), (0,)).validate()
+    # Entries must be ints; a bool is refused as one.
+    for a, r in [
+        ((1,), (1.0,)),
+        ((True,), (True,)),
+        (("1",), (1,)),
+        ((1.5,), (1,)),
+    ]:
+        with pytest.raises(InvalidSequenceError, match="^entries must be integers$"):
+            CompatibleSequence(a, r).validate()
 
 
 def test_compatible_sequence_of_321():

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import pipedreams
+from helpers import verify_moves
 from pipedreams import verify
 from pipedreams.bijection import PhiResult
 from pipedreams.bumpless import BumplessPipeDream
@@ -587,7 +588,7 @@ def refusing(monkeypatch):
 def _first_generic_audit(audit, kind, m_calls):
     """The first S4 pd audit of a kind move whose generic case makes
     m_calls m moves, so that it reaches the follow-up m move."""
-    for pi, base, move, _ in verify._moves(4):
+    for pi, base, move, _ in verify_moves(4):
         if move[0] != kind or (kind == "x" and pi.is_identity()):
             continue
         for d in sorted(pipedreams.enumerate_pipe_dreams(base), key=lambda d: sorted(d.crosses)):
