@@ -29,18 +29,10 @@ from .errors import EmptyDiagramError, InvalidDiagramError, InvariantError, Move
 from .perm import Permutation
 from .poly import SparsePolynomial
 
-# The edges each letter touches, one bit per edge.
-_N, _E, _S, _W = 1, 2, 4, 8
-_MASK = {
-    ".": 0,
-    "|": _N | _S,
-    "-": _E | _W,
-    "r": _S | _E,
-    "j": _N | _W,
-    "+": _N | _E | _S | _W,
-    "b": _N | _E | _S | _W,
-}
-_LETTERS = frozenset(_MASK)
+# The letters that take a pipe through their S edge and through their W edge.
+_SOUTH = frozenset("|r+b")
+_WEST = frozenset("-j+b")
+_LETTERS = _SOUTH | _WEST | {"."}
 
 
 def _sweep(rows: tuple[str, ...]) -> tuple:
@@ -69,10 +61,7 @@ def _sweep(rows: tuple[str, ...]) -> tuple:
         carry = None
         for j, t in enumerate(rows[i - 1], 1):
             south = up[j - 1]
-            mask = _MASK[t]
-            if (south is None) == bool(mask & _S) or (carry is None) == bool(
-                mask & _W
-            ):
+            if (south is None) == (t in _SOUTH) or (carry is None) == (t in _WEST):
                 raise InvalidDiagramError(
                     f"tile {t!r} at {(i, j)} does not meet the pipes reaching it"
                 )
@@ -176,21 +165,22 @@ _REVERSE = {
 
 def _move_strip(
     rows: tuple[str, ...], top: int, bottom: int, col: int, last: str, table: dict
-) -> Optional[tuple[str, ...]]:
+) -> tuple[str, ...]:
     """The rows after table rewrites columns col and col+1 from row top to
-    row bottom, whose state is last; None where a pair has no entry or a
-    kink is still open at the bottom row."""
+    row bottom, whose state is last.  Raises InvariantError where a pair has
+    no entry or a kink is still open at the bottom row."""
     out = list(rows)
     state = "top"
     for i in range(top, bottom + 1):
+        row = out[i - 1]
+        old = row[col - 1 : col + 1]
         if i == bottom:
             if state != "out":
-                return None
+                raise InvariantError(f"column move ends in state {state!r} at {(i, col)}")
             state = last
-        row = out[i - 1]
-        step = table.get((state, row[col - 1 : col + 1]))
+        step = table.get((state, old))
         if step is None:
-            return None
+            raise InvariantError(f"column move stops at {old!r} at {(i, col)}")
         pair, state = step
         out[i - 1] = row[: col - 1] + pair + row[col + 1 :]
     return tuple(out)
@@ -239,7 +229,7 @@ class BumplessPipeDream:
                 raise ValueError("grid is not square")
             if not _LETTERS.issuperset(row):
                 for ch in row:
-                    if ch not in _MASK:
+                    if ch not in _LETTERS:
                         raise ValueError(f"unknown tile letter {ch!r}")
         self.rows = rs
         self._perm = None  # (rows, permutation) once validate() passed
@@ -495,12 +485,7 @@ def _pop(diagram: BumplessPipeDream, known: Optional[BumplessPipeDream]) -> PopR
             x2 = _first_turn(rows, y)
             if x2 <= x:
                 raise InvariantError(f"pipes {y}, {y + 1} do not cross below row {x}")
-        moved = _move_strip(
-            rows, x, x2, y, "cross" if terminal else "last", _COLUMN_MOVE
-        )
-        if moved is None:
-            raise InvariantError(f"column move from {(x, y)} meets a foreign tile")
-        rows = moved
+        rows = _move_strip(rows, x, x2, y, "cross" if terminal else "last", _COLUMN_MOVE)
         if terminal:
             a = y
             break
@@ -528,7 +513,7 @@ def bpd_insert(diagram: BumplessPipeDream, a: int, r: int) -> Optional[BumplessP
     rows = diagram.grow_to(max(diagram.n, a + 1)).rows
     x, x2 = _first_turn(rows, a), _first_turn(rows, a + 1)
     # Each strip below reads a reduced grid and leaves one, so it never
-    # gives None and the round trip's validate() passes.  A column move
+    # raises and the round trip's validate() passes.  A column move
     # keeps the strip's outer edges, each pipe's way through it and each
     # pair's crossings in it; the recross swaps how pipes a and a+1 go on
     # and adds their one crossing.  As the state says whether column col+1

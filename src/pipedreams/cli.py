@@ -27,11 +27,14 @@ from .verify import CHECK_GROUPS, MODELS, model_of, run_checks
 # r + c - 1, and a bpd payload is a grid; refusing larger values keeps time
 # and output bounded.
 _MAX_COORD = 64
+# A diagram argument is read up to this many characters and refused beyond:
+# the largest diagrams inside the other bounds print in under 70 KB.
+_MAX_INPUT = 1 << 20
 # enum of a permutation of size 9 writes about 240 MB at 1.75 GB peak RSS,
 # and schubert of one of size 10 takes about 3.5 s; both sizes are refused.
 _MAX_ENUM_SIZE = 8
 _MAX_SCHUBERT_SIZE = 9
-# verify of group 6 takes 62-63 s at about 111 MB peak RSS under -O on a
+# verify of group 6 takes 44-48 s at about 97 MB peak RSS under -O on a
 # shared 2-vCPU host, and CI runs it on every push; of group 7, with seven
 # times the permutations, only poly runs, weekly, so the CLI refuses it.
 _MAX_GROUP = 6
@@ -54,10 +57,12 @@ def _parse_perm(text: str, bound: int) -> Permutation:
 
 def _read_diagram(path: str):
     if path == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.read(_MAX_INPUT + 1)
     else:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(_MAX_INPUT + 1)
+    if len(text) > _MAX_INPUT:
+        raise ValueError(f"the diagram input exceeds {_MAX_INPUT} characters")
     try:
         data = json.loads(text)
     except RecursionError as exc:

@@ -48,7 +48,7 @@ class Permutation:
 
     @classmethod
     def identity(cls) -> "Permutation":
-        return cls(())
+        return cls._of([])
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
@@ -228,7 +228,7 @@ def reduced_words(pi: Permutation) -> frozenset[tuple[int, ...]]:
     levels = [{pi}]
     for _ in range(pi.length()):
         levels.append({u.right_s(i) for u in levels[-1] for i in u.right_descents()})
-    words: dict[Permutation, list[tuple[int, ...]]] = {Permutation(): [()]}
+    words: dict[Permutation, list[tuple[int, ...]]] = {Permutation.identity(): [()]}
     for level in reversed(levels[:-1]):
         words = {
             u: [w + (i,) for i in u.right_descents() for w in words[u.right_s(i)]]
@@ -251,4 +251,4 @@ def one_reduced_word(pi: Permutation) -> tuple[int, ...]:
 def symmetric_group(n: int) -> Iterator[Permutation]:
     """All permutations with support inside {1, ..., n}."""
     for w in itertools.permutations(range(1, n + 1)):
-        yield Permutation(w)
+        yield Permutation._of(list(w))

@@ -820,6 +820,21 @@ def test_pipe_a_turns_above_pipe_a_plus_1_where_they_do_not_cross():
     assert checked == 26946
 
 
+@pytest.mark.parametrize(
+    "rows, bottom, message",
+    [
+        # Top '.r' opens the move; '..' is no pair of the last row.
+        ((".r", ".."), 2, r"^column move stops at '\.\.' at \(2, 1\)$"),
+        # 'r+' opens a kink that is still open at the bottom row.
+        ((".r", "r+", "||"), 3, r"^column move ends in state 'in' at \(3, 1\)$"),
+    ],
+    ids=["no_entry", "open_kink"],
+)
+def test_a_column_move_off_its_table_is_an_invariant_error(rows, bottom, message):
+    with pytest.raises(InvariantError, match=message):
+        bumpless._move_strip(rows, 1, bottom, 1, "last", bumpless._COLUMN_MOVE)
+
+
 def test_insert_absent_for_unreachable_row():
     # inserting (1, r) into the identity only works at r = 1
     ident = BumplessPipeDream.identity(1)

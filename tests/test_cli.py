@@ -473,6 +473,31 @@ def test_bpd_grid_size_is_bounded(tmp_path, capsys, argv, n):
         assert err == "error: the grid size n = 65 exceeds the bound 64\n"
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_diagram_input_past_the_character_bound_is_bad_input(
+    tmp_path, capsys, source
+):
+    # A valid payload padded with whitespace is read and accepted up to the
+    # bound of 2^20 characters, and refused one character past it.
+    def render(size):
+        text = json.dumps(PD_11)
+        text += " " * (size - len(text))
+        if source == "stdin":
+            with mock.patch("sys.stdin", io.StringIO(text)):
+                return run(capsys, "render")
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        return run(capsys, "render", str(path))
+
+    code, out, err = render(1 << 20)
+    assert (code, err) == (0, "")
+    assert render((1 << 20) + 1) == (
+        2,
+        "",
+        "error: the diagram input exceeds 1048576 characters\n",
+    )
+
+
 class _LargestWrite:
     """A stdout stand-in that keeps only the count, the total and the
     largest write."""

@@ -304,6 +304,9 @@ def test_schubert_polynomial_makes_no_checked_permutation(monkeypatch):
 
     monkeypatch.setattr(Permutation, "__init__", counting_init)
     schubert_polynomial(pi)
+    list(symmetric_group(5))
+    Permutation.identity()
+    reduced_words(pi)
     assert checked == []
     Permutation([2, 1])
     assert len(checked) == 1
