@@ -235,23 +235,25 @@ def iter_pipe_dreams(pi: Permutation) -> Iterator[PipeDream]:
     """
     n = max(pi.size, 1)
     length = pi.length()
-    where = list(range(n + 1))
+    identity = list(range(n + 1))
+    where = identity[:]
     for pos, v in enumerate(pi.word, start=1):
         where[v] = pos
-    read: list[tuple[int, int]] = []
-    # (row, bound, depth): the first depth letters of read are placed, and
+    read: list[tuple[int, int]] = []  # the crosses placed, in walk order
+    # (row, bound, depth): the first depth crosses of read are placed, and
     # the next letter of the row is below bound.
     stack = [(1, n, 0)]
     while stack:
         r, a, depth = stack.pop()
         while len(read) > depth:
-            _, b = read.pop()
+            i, c = read.pop()
+            b = i + c - 1
             where[b], where[b + 1] = where[b + 1], where[b]
         if depth == length:
-            if where != list(range(n + 1)):
-                word = tuple(b for _, b in read)
+            if where != identity:
+                word = tuple(i + c - 1 for i, c in read)
                 raise InvariantError(f"walk read {word}, not a reduced word of {pi}")
-            yield PipeDream._of(frozenset([(i, b - i + 1) for i, b in read]))
+            yield PipeDream._of(frozenset(read))
             continue
         a -= 1
         while a >= r and where[a] < where[a + 1]:
@@ -259,7 +261,7 @@ def iter_pipe_dreams(pi: Permutation) -> Iterator[PipeDream]:
         if a >= r:
             stack.append((r, a, depth))
             where[a], where[a + 1] = where[a + 1], where[a]
-            read.append((r, a))
+            read.append((r, a - r + 1))
             stack.append((r, a, depth + 1))
         elif where[r] == r and r + 1 < n:
             stack.append((r + 1, n, depth))

@@ -104,9 +104,10 @@ class SparsePolynomial:
             raise ValueError("variables are numbered from 1")
         out: dict[tuple[int, ...], int] = {}
         for exp, coef in self.terms.items():
-            e = list(exp) + [0] * max(0, i + 1 - len(exp))
-            e[i - 1], e[i] = e[i], e[i - 1]
-            out[_trim(tuple(e))] = coef
+            if len(exp) <= i:
+                exp += (0,) * (i + 1 - len(exp))
+            e = exp[: i - 1] + (exp[i], exp[i - 1]) + exp[i + 1 :]
+            out[e if e[-1] else _trim(e)] = coef
         return SparsePolynomial._of(out)
 
     def __str__(self) -> str:
@@ -163,31 +164,43 @@ def divided_difference(f: SparsePolynomial, i: int) -> SparsePolynomial:
     The quotient is exact for every polynomial; each term of f is divided
     against its swapped partner via the telescoping identity
     x^a y^b - x^b y^a = (x - y) * sum over the staircase between a and b.
+    The quotient is checked against swap_vars, coefficient by coefficient:
+    f - swap_i f minus the quotient times x_i - x_{i+1} must tally to zero.
     """
     if i < 1:
         raise ValueError("variables are numbered from 1")
     out: dict[tuple[int, ...], int] = {}
     for exp, coef in f.terms.items():
-        e = list(exp) + [0] * max(0, i + 1 - len(exp))
-        a, b = e[i - 1], e[i]
+        if len(exp) <= i:
+            exp += (0,) * (i + 1 - len(exp))
+        a, b = exp[i - 1], exp[i]
         if a == b:
             continue
-        sign = 1
         if a < b:
-            a, b = b, a
-            sign = -1
+            a, b, coef = b, a, -coef
+        head, tail = exp[: i - 1], exp[i + 1 :]
         # x^a y^b - x^b y^a = (x-y) * x^b y^b * (x^{a-b-1} + ... + y^{a-b-1})
         for d in range(a - b):
-            q = list(e)
-            q[i - 1] = b + d
-            q[i] = a - 1 - d
-            key = _trim(tuple(q))
-            out[key] = out.get(key, 0) + sign * coef
-    result = SparsePolynomial._of({e: c for e, c in out.items() if c})
-    root = SparsePolynomial._of({(0,) * (i - 1) + (1,): 1, (0,) * i + (1,): -1})
-    if result * root != f - f.swap_vars(i):
+            key = head + (b + d, a - 1 - d) + tail
+            if not key[-1]:
+                key = _trim(key)
+            out[key] = out.get(key, 0) + coef
+    quotient = {e: c for e, c in out.items() if c}
+    tally = dict(f.terms)
+    for exp, coef in f.swap_vars(i).terms.items():
+        tally[exp] = tally.get(exp, 0) - coef
+    for exp, coef in quotient.items():
+        if len(exp) <= i:
+            exp += (0,) * (i + 1 - len(exp))
+        head, a, b, tail = exp[: i - 1], exp[i - 1], exp[i], exp[i + 1 :]
+        raised = (head + (a + 1, b) + tail, -coef), (head + (a, b + 1) + tail, coef)
+        for key, c in raised:
+            if not key[-1]:
+                key = _trim(key)
+            tally[key] = tally.get(key, 0) + c
+    if any(tally.values()):
         raise InvariantError("divided difference not exact")
-    return result
+    return SparsePolynomial._of(quotient)
 
 
 def staircase_monomial(n: int) -> SparsePolynomial:

@@ -1,6 +1,9 @@
 """Tests for sparse polynomials, divided differences, and Schubert
 polynomials."""
 
+import builtins
+import hashlib
+import json
 import random
 import re
 
@@ -330,6 +333,14 @@ def test_divided_difference_checks_against_swap_vars(monkeypatch):
         divided_difference(x(1), 1)
 
 
+def test_divided_difference_checks_its_own_quotient(monkeypatch):
+    """A quotient that misses one telescoped term fails the check even with
+    a correct swap_vars: x1^2 yields x2 alone in place of x1 + x2."""
+    monkeypatch.setattr(poly, "range", lambda n: builtins.range(1, n), raising=False)
+    with pytest.raises(InvariantError, match="^divided difference not exact$"):
+        divided_difference(x(1) * x(1), 1)
+
+
 # Keys of length 0 to 3 with negative exponents, trailing zeros and zero
 # coefficients, so every ring op meets terms that must cancel or trim.
 laurent_polys = st.dictionaries(
@@ -356,6 +367,16 @@ def test_ring_ops_return_the_normal_form(p, q, i):
     assert p - q == p + (-q)
 
 
+@settings(max_examples=200)
+@given(laurent_polys, st.integers(min_value=1, max_value=4))
+def test_quotient_times_the_root_is_the_antisymmetric_part(p, i):
+    """The defining identity through the public * and -, which the
+    exactness check inside divided_difference does not call."""
+    product = divided_difference(p, i) * (x(i) - x(i + 1))
+    assert product == p - p.swap_vars(i)
+    assert _is_normal(product)
+
+
 def test_schubert_polynomial_makes_one_checked_polynomial(monkeypatch):
     """Only the monomial start goes through __init__; every divided
     difference and its exactness check build their polynomials unchecked."""
@@ -370,3 +391,23 @@ def test_schubert_polynomial_makes_one_checked_polynomial(monkeypatch):
     s = schubert_polynomial(Permutation.parse("21786534"))
     assert len(checked) == 1
     assert len(s.terms) == 683
+
+
+# sha256 of json.dumps(schubert_polynomial(pi).to_json(), sort_keys=True),
+# recorded when the exactness check still multiplied the quotient back; the
+# second reaches S9, past the S7 poly golden.
+SCHUBERT_SHA256 = {
+    "21786534": (
+        683, "97e8b1e3299ff81f782bb82ff3518b274acf13d34517f36ecb5db1f2613c3fc3"
+    ),
+    "1,3,2,9,8,7,6,5,4": (
+        17319, "0d6e43fd4429486572930ce7df4f6d53b014d61a8449903048683f33d489bca4"
+    ),
+}
+
+
+@pytest.mark.parametrize("word", list(SCHUBERT_SHA256))
+def test_large_schubert_polynomials_are_pinned_term_for_term(word):
+    s = schubert_polynomial(Permutation.parse(word))
+    dump = json.dumps(s.to_json(), sort_keys=True).encode()
+    assert (len(s.terms), hashlib.sha256(dump).hexdigest()) == SCHUBERT_SHA256[word]
