@@ -111,10 +111,8 @@ def _cmd_schubert(args):
 
 def _cmd_enum(args):
     pi = _parse_perm(args.perm, _MAX_ENUM_SIZE)
-    diagrams = sorted(
-        MODELS[args.model].enumerate(pi),
-        key=lambda d: json.dumps(d.to_json(), sort_keys=True),
-    )
+    model = MODELS[args.model]
+    diagrams = sorted(model.enumerate(pi), key=model.order)
     if args.pretty:
         return "\n\n".join(render(d, pretty=True) for d in diagrams)
     return {
@@ -166,16 +164,13 @@ def _cmd_insert(args):
 
 
 def _cmd_monk(args):
-    diagram = args.diagram
-    model = model_of(diagram)
     if args.variant == "x":
-        if args.alpha is None:
-            raise ValueError("the x move needs --alpha")
-        out, tr = model.x(diagram, args.alpha)
+        move, needs = ("x", args.alpha), "--alpha"
     else:
-        if args.s is None or args.beta is None:
-            raise ValueError("the m move needs --s and --beta")
-        out, tr = model.m(diagram, args.s, args.beta)
+        move, needs = ("m", args.s, args.beta), "--s and --beta"
+    if None in move:
+        raise ValueError(f"the {args.variant} move needs {needs}")
+    out, tr = model_of(args.diagram).apply(args.diagram, move)
     if args.pretty:
         return render(out, pretty=True) + f"\nl={tr.result_l}"
     return {
@@ -188,8 +183,6 @@ def _cmd_monk(args):
 
 
 def _cmd_verify(args):
-    if args.group < 1:
-        raise ValueError("group size must be positive")
     if args.group > _MAX_GROUP:
         raise ValueError(
             f"the group size {args.group} exceeds the bound {_MAX_GROUP}"

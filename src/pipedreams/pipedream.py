@@ -10,6 +10,7 @@ right by right multiplication, is the permutation of the diagram.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -185,7 +186,11 @@ class PipeDream:
             isinstance(cross, list) and len(cross) == 2 for cross in crosses
         ):
             raise ValueError("the field 'crosses' must be a list of [row, col] pairs")
-        return cls((r, c) for r, c in crosses)
+        diagram = cls((r, c) for r, c in crosses)
+        if len(diagram.crosses) < len(crosses):
+            twice = Counter(map(tuple, crosses)).most_common(1)[0][0]
+            raise ValueError(f"the cross {list(twice)} is listed twice")
+        return diagram
 
 
 class PipeDreamTrace(NamedTuple):

@@ -37,13 +37,16 @@ class Model(NamedTuple):
     """One diagram model and the operations the harness applies to it.
 
     cls supplies from_json, to_json, perm and weight; enumerate(pi) gives
-    every diagram of pi; pop(d) returns a PopResult; x(d, alpha) and
-    m(d, s, beta) return the moved diagram with its MonkTrace.
+    every diagram of pi, and order(d) the key they are listed by: a grid's
+    rows, or a pipe dream's crosses in reading order, as to_json gives
+    them; pop(d) returns a PopResult; x(d, alpha) and m(d, s, beta) return
+    the moved diagram with its MonkTrace.
     """
 
     name: str
     cls: type
     enumerate: Callable
+    order: Callable
     pop: Callable
     x: Callable
     m: Callable
@@ -65,6 +68,7 @@ MODELS = {
         "pd",
         PipeDream,
         lambda pi: enumerate_pipe_dreams(pi),
+        lambda d: d.sorted_crosses(),
         _pd_pop,
         lambda d, alpha: pd_x_insert(d, alpha),
         lambda d, s, beta: pd_m_move(d, s, beta),
@@ -73,6 +77,7 @@ MODELS = {
         "bpd",
         BumplessPipeDream,
         lambda pi: enumerate_bpds(pi),
+        lambda b: b.rows,
         lambda d: bpd_pop(d),
         lambda d, alpha: bpd_x_insert(d, alpha),
         lambda d, s, beta: bpd_m_move(d, s, beta),
@@ -132,14 +137,12 @@ class Atlas:
         return self._get("held", _key(diagram), lambda: diagram)
 
     def diagrams(self, model: str, pi: Permutation) -> tuple:
-        """The diagrams of pi, grids by their rows and pipe dreams by their
-        sorted crosses, so that every process visits them in one order."""
+        """The diagrams of pi in the model's order, the order enum lists,
+        so that every process visits them in one order."""
 
         def make():
-            held = map(self._hold, MODELS[model].enumerate(pi))
-            if model == "bpd":
-                return tuple(sorted(held, key=lambda b: b.rows))
-            return tuple(sorted(held, key=lambda d: sorted(d.crosses)))
+            ops = MODELS[model]
+            return tuple(sorted(map(self._hold, ops.enumerate(pi)), key=ops.order))
 
         return self._get(model, pi, make)
 
@@ -345,8 +348,8 @@ def lemma_case_audit(diagram, move) -> AuditReport:
 
 
 # A check is _name(n, seed, atlas, pi): its cases at one permutation pi of
-# S_n.  It returns the detail of its first failing case, or the counts its
-# cases add to the pass detail, CHECKS[name][1].
+# S_n.  It returns the detail of its first failing case, or the count its
+# cases add to the {} of the pass detail CHECKS[name][1], 0 if it has none.
 
 
 def _triple_agreement(n: int, seed, atlas: Atlas, pi: Permutation):
@@ -357,25 +360,25 @@ def _triple_agreement(n: int, seed, atlas: Atlas, pi: Permutation):
             total.update(d.weight().terms)
         if SparsePolynomial(total) != s:
             return f"disagreement at {pi}"
-    return (1,)
+    return 1
 
 
 def _monk_poly(n: int, seed, atlas: Atlas, pi: Permutation):
     for alpha in range(1, n + 2):
         if not atlas.monk_identity(pi, alpha):
             return f"failure at {pi}, alpha={alpha}"
-    return (n + 1,)
+    return n + 1
 
 
 def _stability(n: int, seed, atlas: Atlas, pi: Permutation):
     if schubert_polynomial(pi, n + 2) != atlas.schubert(pi):
         return f"ambient change alters the polynomial at {pi}"
-    return ()
+    return 0
 
 
 def _poly_ring(n: int, seed, atlas: Atlas, pi: Permutation):
     if not pi.is_identity():  # the samples are drawn once, at the identity
-        return ()
+        return 0
     rng = random.Random(seed if seed is not None else 0)
 
     def rand_poly():
@@ -395,7 +398,7 @@ def _poly_ring(n: int, seed, atlas: Atlas, pi: Permutation):
             return "associativity failed"
         if a - a != SparsePolynomial.zero():
             return "subtraction failed"
-    return ()
+    return 0
 
 
 def _bijection(n: int, seed, atlas: Atlas, pi: Permutation):
@@ -414,7 +417,7 @@ def _bijection(n: int, seed, atlas: Atlas, pi: Permutation):
     for d in pds:
         if phi(phi_inverse(d)).pipe_dream() != d:
             return f"phi_inverse not inverse at {pi}"
-    return (len(bpds),)
+    return len(bpds)
 
 
 def _compatible(n: int, seed, atlas: Atlas, pi: Permutation):
@@ -428,12 +431,12 @@ def _compatible(n: int, seed, atlas: Atlas, pi: Permutation):
         if seq.permutation() != pi:
             return f"sequence permutation mismatch at {pi}"
         count += 1
-    return (count,)
+    return count
 
 
 def _roundtrip(n: int, seed, atlas: Atlas, pi: Permutation):
     if pi.is_identity():
-        return (0,)
+        return 0
     count = 0
     for b in atlas.diagrams("bpd", pi):
         res = bpd_pop(b)
@@ -441,7 +444,7 @@ def _roundtrip(n: int, seed, atlas: Atlas, pi: Permutation):
         if back != b:
             return f"insert does not undo pop at {pi}"
         count += 1
-    return (count,)
+    return count
 
 
 def _commutation(n: int, seed, atlas: Atlas, pi: Permutation):
@@ -450,7 +453,7 @@ def _commutation(n: int, seed, atlas: Atlas, pi: Permutation):
         if not atlas.commutes(base, move):
             return f"{move[0]} move disagreement at {pi}, {label}"
         runs += 1
-    return (runs,)
+    return runs
 
 
 def _partition(n: int, seed, atlas: Atlas, pi: Permutation):
@@ -458,7 +461,7 @@ def _partition(n: int, seed, atlas: Atlas, pi: Permutation):
         for model in MODELS:
             if not atlas.partitions(pi, alpha, model):
                 return f"partition fails at {pi}, alpha={alpha}, {model}"
-    return ()
+    return 0
 
 
 def _lemmas(n: int, seed, atlas: Atlas, pi: Permutation):
@@ -472,7 +475,7 @@ def _lemmas(n: int, seed, atlas: Atlas, pi: Permutation):
                 if not report.passed():
                     return f"{report!r} at {pi}"
                 audited += 1
-    return (audited,)
+    return audited
 
 
 def _footprints(n: int, seed, atlas: Atlas, pi: Permutation):
@@ -482,10 +485,10 @@ def _footprints(n: int, seed, atlas: Atlas, pi: Permutation):
             if not atlas.move(d, move)[1]:
                 return f"repeated footprint at {pi}, {label}"
             runs += 1
-    return (runs,)
+    return runs
 
 
-# name -> (check, pass detail formatted with the counts summed over S_n)
+# name -> (check, pass detail formatted with the count summed over S_n)
 CHECKS = {
     "triple_agreement": (_triple_agreement, "all {} permutations agree"),
     "monk_poly": (_monk_poly, "{} instances hold"),
@@ -519,6 +522,8 @@ def run_checks(n: int, which: str = "all", seed=None) -> dict:
     raises there fails with the detail "raised <exception type>:
     <message>", and the other checks still run.
     """
+    if n < 1:
+        raise ValueError("group size must be positive")
     if which == "all":
         names = [name for group in CHECK_GROUPS.values() for name in group]
     elif which in CHECK_GROUPS:
@@ -530,7 +535,7 @@ def run_checks(n: int, which: str = "all", seed=None) -> dict:
         levels.setdefault(pi.length(), []).append((position, pi))
     atlas = Atlas()
     failed = {}  # name -> (position, detail) of its first failure so far
-    counts = {name: [0] * CHECKS[name][1].count("{}") for name in names}
+    counts = dict.fromkeys(names, 0)
     for level in sorted(levels):
         for name in names:
             check = CHECKS[name][0]
@@ -544,11 +549,11 @@ def run_checks(n: int, which: str = "all", seed=None) -> dict:
                 if isinstance(out, str):
                     failed[name] = (position, out)
                     break
-                counts[name] = [a + b for a, b in zip(counts[name], out)]
+                counts[name] += out
         atlas.forget(level, n)
     return {
         name: (False, failed[name][1])
         if name in failed
-        else (True, CHECKS[name][1].format(*counts[name]))
+        else (True, CHECKS[name][1].format(counts[name]))
         for name in names
     }

@@ -287,6 +287,19 @@ def test_pop_refuses_a_non_reduced_pipe_dream(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, crosses, twice",
+    [
+        (["pop"], [[1, 2], [1, 1], [1, 2]], [1, 2]),
+        (["render"], [[1, 1], [1, 1]], [1, 1]),
+    ],
+)
+def test_a_cross_listed_twice_is_bad_input(tmp_path, capsys, argv, crosses, twice):
+    path = write_json(tmp_path, "d.json", {"model": "pd", "crosses": crosses})
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out, err) == (2, "", f"error: the cross {twice} is listed twice\n")
+
+
+@pytest.mark.parametrize(
     "payload, message",
     [
         ({"model": "pd"}, "the pipe dream payload has no field 'crosses'"),

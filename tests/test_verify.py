@@ -650,3 +650,39 @@ def test_bruhat_covers_default_to_one_past_the_size():
     assert verify.bruhat_covers(Permutation([2, 1])) == [(1, 3), (2, 3)]
     assert verify.bruhat_covers(Permutation([2, 1]), 3) == [(1, 3), (2, 3)]
     assert verify.bruhat_covers(Permutation()) == [(1, 2)]
+
+
+ORDER_PERMS = [
+    *pipedreams.symmetric_group(5),
+    *pipedreams.symmetric_group(6),
+    Permutation.parse("2153746"),
+    Permutation.parse("21786534"),
+    Permutation.parse("1,3,2,8,7,6,5,4"),
+]
+
+
+@pytest.mark.parametrize("model", list(verify.MODELS))
+def test_one_order_lists_the_diagrams_of_enum_and_of_the_atlas(model):
+    """Sorting by the model's order key lists the diagrams of a permutation
+    as sorting by their sorted-key JSON text did, the key enum once used.
+
+    All diagrams of one permutation share the grid size n and the number of
+    crosses, so their JSON texts align token for token: a bumpless grid's
+    text reads its tiles row by row, and a pipe dream's its crosses in
+    reading order.  Within enum's size bound of 8, every coordinate r, c of
+    a cross has r + c - 1 <= 7, one digit, so text order is the order of
+    the tuples the key compares."""
+    ops = verify.MODELS[model]
+    for pi in ORDER_PERMS:
+        diagrams = list(ops.enumerate(pi))
+        listed = sorted(diagrams, key=ops.order)
+        assert listed == sorted(
+            diagrams, key=lambda d: json.dumps(d.to_json(), sort_keys=True)
+        ), str(pi)
+        assert list(verify.Atlas().diagrams(model, pi)) == listed, str(pi)
+
+
+@pytest.mark.parametrize("n, which", [(0, "all"), (-2, "poly")])
+def test_a_group_size_below_one_is_refused(n, which):
+    with pytest.raises(ValueError, match="^group size must be positive$"):
+        verify.run_checks(n, which)
