@@ -17,8 +17,8 @@ message words the rejection.
 Two enumerators give the same set.  enumerate_bpds builds the grids a row
 at a time from their pipes alone, sharing each row among the grids on it,
 with no droop and no trace; it serves every caller in the library.  iter_bpds
-closes the Rothe diagram under droops, validating each new grid; it is kept
-for its visiting order, which goldens pin, and as enumerate_bpds's oracle.
+closes the Rothe diagram under droops, each through the public droop(); it
+is kept for its visiting order, which goldens pin, and as enumerate_bpds's oracle.
 """
 
 from __future__ import annotations
@@ -370,16 +370,7 @@ class BumplessPipeDream:
             raise MoveError(f"destination {(c, d)} is not blank")
         if self.tile(c, b) != "|" or self.tile(a, d) != "-":
             raise MoveError(f"droop needs '|' at {(c, b)} and '-' at {(a, d)}")
-        return self._droop_unseen(corner, dest, set())
-
-    def _droop_unseen(self, corner, dest, seen: set) -> Optional["BumplessPipeDream"]:
-        """droop() past its tile checks, or None if its rows are in seen,
-        where it adds them: rows there were validated, from a grid of the
-        same permutation, when first reached."""
         rows = _droop_rows(self.rows, corner, dest)
-        if rows in seen:
-            return None
-        seen.add(rows)
         try:
             new_pi = BumplessPipeDream._of(rows).validate()
         except InvalidDiagramError as exc:
@@ -567,12 +558,14 @@ def iter_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:
             for b in [j for j, t in enumerate(row, 1) if t == "r"]:
                 for c, d in blanks:
                     if c > a and d > b and rows[c - 1][b - 1] == "|" and row[d - 1] == "-":
+                        # seen holds every grid reached, valid or not.
                         try:
-                            nxt = cur._droop_unseen((a, b), (c, d), seen)
+                            reached = _droop_rows(rows, (a, b), (c, d))
+                            if reached not in seen:
+                                seen.add(reached)
+                                queue.append(cur.droop((a, b), (c, d)))
                         except MoveError:
-                            continue
-                        if nxt is not None:
-                            queue.append(nxt)
+                            pass
 
 
 def _build_bpds(pi: Permutation) -> Iterator[BumplessPipeDream]:

@@ -156,7 +156,7 @@ class PipeDream:
         """
         if not self.crosses:
             raise EmptyDiagramError("cannot pop an empty pipe dream")
-        first = self.sorted_crosses()[0]
+        first = min(self.crosses, key=grid_key)
         r, c = first
         return (r + c - 1, r), PipeDream._of(self.crosses - {first})
 

@@ -82,10 +82,7 @@ class SparsePolynomial:
         return SparsePolynomial._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        out = dict(self.terms)
-        for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, 0) - coef
-        return SparsePolynomial._of({e: c for e, c in out.items() if c})
+        return self + -other
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         out: dict[tuple[int, ...], int] = {}
@@ -146,15 +143,23 @@ class SparsePolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "SparsePolynomial":
+        terms = data.get("terms")
+        if not isinstance(terms, list):
+            raise ValueError("the field 'terms' must be a list of terms")
         out: dict[tuple[int, ...], int] = {}
-        for term in data["terms"]:
-            exp, coef = tuple(term["exponents"]), term["coefficient"]
+        for term in terms:
+            if not isinstance(term, dict):
+                raise ValueError(f"each entry of 'terms' must be an object: {term!r}")
+            for field in ("exponents", "coefficient"):
+                if field not in term:
+                    raise ValueError(f"a term has no field {field!r}: {term!r}")
+            exp, coef = term["exponents"], term["coefficient"]
             # type() rather than isinstance: a bool is an int too.
-            if not all(type(e) is int and e >= 0 for e in exp):
+            if not isinstance(exp, list) or not all(type(e) is int and e >= 0 for e in exp):
                 raise ValueError(f"exponents must be non-negative integers: {term!r}")
             if type(coef) is not int:
                 raise ValueError(f"a coefficient must be an integer: {term!r}")
-            out[exp] = out.get(exp, 0) + coef
+            out[tuple(exp)] = out.get(tuple(exp), 0) + coef
         return cls(out)
 
 

@@ -421,8 +421,8 @@ def _bijection(n: int, seed, atlas: Atlas, pi: Permutation):
 
 
 def _compatible(n: int, seed, atlas: Atlas, pi: Permutation):
-    count = 0
-    for b in atlas.diagrams("bpd", pi):
+    bpds = atlas.diagrams("bpd", pi)
+    for b in bpds:
         seq = atlas.image(b)
         try:
             seq.validate()
@@ -430,21 +430,19 @@ def _compatible(n: int, seed, atlas: Atlas, pi: Permutation):
             return f"invalid sequence at {pi}: {exc}"
         if seq.permutation() != pi:
             return f"sequence permutation mismatch at {pi}"
-        count += 1
-    return count
+    return len(bpds)
 
 
 def _roundtrip(n: int, seed, atlas: Atlas, pi: Permutation):
     if pi.is_identity():
         return 0
-    count = 0
-    for b in atlas.diagrams("bpd", pi):
+    bpds = atlas.diagrams("bpd", pi)
+    for b in bpds:
         res = bpd_pop(b)
         back = bpd_insert(res.result, res.a, res.r)
         if back != b:
             return f"insert does not undo pop at {pi}"
-        count += 1
-    return count
+    return len(bpds)
 
 
 def _commutation(n: int, seed, atlas: Atlas, pi: Permutation):

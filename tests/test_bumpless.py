@@ -529,8 +529,11 @@ def test_enumerate_bpds_sweeps_no_grid(swept):
     assert swept == []
 
 
-def test_every_diagram_of_an_enumeration_shares_one_permutation():
-    diagrams = enumerate_bpds(Permutation.parse("2153746"))
+@pytest.mark.parametrize(
+    "enumerate_", [enumerate_bpds, iter_bpds], ids=lambda f: f.__name__
+)
+def test_every_diagram_of_an_enumeration_shares_one_permutation(enumerate_):
+    diagrams = list(enumerate_(Permutation.parse("2153746")))
     perms = {id(d.validate()) for d in diagrams}
     assert len(diagrams) > 1 and len(perms) == 1
 

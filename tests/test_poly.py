@@ -90,6 +90,23 @@ def test_json_refuses_values_that_are_not_integers(exponents, coefficient):
         SparsePolynomial.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({}, "'terms'"),
+        ({"terms": 5}, "'terms'"),
+        ({"terms": [[1, 2]]}, "'terms'"),
+        ({"terms": [{"exponents": [1]}]}, "'coefficient'"),
+        ({"terms": [{"coefficient": 1}]}, "'exponents'"),
+        ({"terms": [{"exponents": 5, "coefficient": 1}]}, "exponents"),
+    ],
+    ids=["empty", "terms-int", "term-list", "no-coefficient", "no-exponents", "exponents-int"],
+)
+def test_json_names_a_missing_or_misshapen_field(data, field):
+    with pytest.raises(ValueError, match=field):
+        SparsePolynomial.from_json(data)
+
+
 def test_swap_vars():
     p = x(1) * x(1) * x(2)
     assert p.swap_vars(1) == x(1) * x(2) * x(2)
